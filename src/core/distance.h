@@ -64,8 +64,8 @@ double weighted_distance(std::span<const double> a, std::span<const double> b,
 /// Pre-scale a feature matrix by per-dimension weights into a packed
 /// row-major float buffer (rows() x weights.size()). This is the exact
 /// double-multiply-then-cast sequence the dense kernel uses; the
-/// streaming engine and the incremental linker share it so their cells
-/// stay bit-identical to the materialized matrix.
+/// streaming engine shares it so its cells stay bit-identical to the
+/// materialized matrix.
 std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
                                   std::span<const double> weights);
 

@@ -29,9 +29,9 @@ inline constexpr std::size_t kLinkGroupCols = 64;
 
 /// out[c] = sum_j (a[j] - bt[j*stride + c])^2 for c in [0, width), with
 /// float accumulation sequential over j — per lane bit-identical to the
-/// scalar loops in core::l2_cell and the incremental linker's squared
-/// distance. `bt` is a dim-major block: dim j of column c lives at
-/// bt[j*stride + c]; `stride >= width`. Buffers must not alias.
+/// scalar loop in core::l2_cell. `bt` is a dim-major block: dim j of
+/// column c lives at bt[j*stride + c]; `stride >= width`. Buffers must
+/// not alias.
 void sq_cell_block(const float* a, const float* bt, std::size_t dims,
                    std::size_t width, std::size_t stride,
                    float* out) noexcept;

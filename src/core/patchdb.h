@@ -21,10 +21,8 @@ struct BuildOptions {
   AugmentOptions augment;             // rounds / stop threshold
   synth::SynthesisOptions synthesis;  // oversampling knobs
   bool run_synthesis = true;
-  /// Candidate selection through the streaming tiled engine instead of
-  /// the dense matrix (bit-identical rounds, memory capped by the
-  /// config). The default stays dense for small builds.
-  bool use_streaming_link = false;
+  /// Streaming nearest-link engine knobs (thread count, memory cap,
+  /// phase-0 index). None of them changes the round results.
   StreamingLinkConfig streaming_link;
 
   /// Round-boundary checkpoint directory (empty = no checkpointing)

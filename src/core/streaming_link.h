@@ -83,9 +83,9 @@ struct StreamingLinkConfig {
   std::size_t memory_cap_bytes = 0;
 
   /// Phase-0 candidate retrieval. kExact (the default) streams every
-  /// column, byte-for-byte the pre-index engine. kCoarse / kRproj
-  /// shortlist partitions per row and prove or rescan every pick —
-  /// same LinkResult, fewer exact cells (see core/index.h).
+  /// column, byte-for-byte the pre-index engine. kCoarse shortlists
+  /// clusters per row and proves or rescans every pick — same
+  /// LinkResult, fewer exact cells (see core/index.h).
   IndexConfig index;
 
   struct Resolved {

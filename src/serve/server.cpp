@@ -284,10 +284,13 @@ void Server::serve_connection(int fd) {
     }
 
     const std::string op = std::string(op_name(request.op));
+    // ScopedSpan keeps a string_view until it closes: the name must
+    // outlive the span, so it cannot be a temporary.
+    const std::string span_name = "serve." + op;
     Response response;
     const auto start = std::chrono::steady_clock::now();
     {
-      obs::ScopedSpan span("serve." + op);
+      obs::ScopedSpan span(span_name);
       try {
         response = dataset_.handle(request);
       } catch (const std::exception& e) {
@@ -301,7 +304,7 @@ void Server::serve_connection(int fd) {
     PATCHDB_COUNTER_ADD("serve.requests", 1);
     PATCHDB_COUNTER_ADD("serve.requests." + op, 1);
     PATCHDB_HISTOGRAM_OBSERVE("serve.request_ms", ms);
-    PATCHDB_HISTOGRAM_OBSERVE("serve." + op + "_ms", ms);
+    PATCHDB_HISTOGRAM_OBSERVE(span_name + "_ms", ms);
     if (response.status == Status::kServerError) {
       PATCHDB_COUNTER_ADD("serve.server_errors", 1);
     }

@@ -26,17 +26,17 @@
 
 namespace patchdb::store {
 
-/// First line of a checkpoint file ("#patchdb.checkpoint.v1").
+/// First line of a checkpoint file ("#patchdb.checkpoint.v2"). Older
+/// versions are refused, not reinterpreted.
 std::string_view checkpoint_version_line();
 
 /// `<dir>/checkpoint.csv`.
 std::filesystem::path checkpoint_path(const std::filesystem::path& dir);
 
-/// Fingerprint of every option that determines the simulated world and
-/// the candidate-selection behavior. A checkpoint written under one
-/// fingerprint refuses to resume under another: the commits it names
-/// would no longer exist (different world) or the remaining rounds
-/// would diverge (different selection engine).
+/// Fingerprint of every option that determines the simulated world. A
+/// checkpoint written under one fingerprint refuses to resume under
+/// another: the commits it names would no longer exist. Link-engine
+/// knobs are not part of it — they never change candidate selection.
 std::uint64_t build_fingerprint(const core::BuildOptions& options);
 
 /// Atomically (re)write `<dir>/checkpoint.csv`.

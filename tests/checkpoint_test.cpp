@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/patchdb.h"
 #include "obs/metrics.h"
@@ -71,16 +73,50 @@ TEST_F(CheckpointTest, FingerprintCoversWorldNotRoundKnobs) {
   b.world.seed = 78;
   EXPECT_NE(store::build_fingerprint(a), store::build_fingerprint(b));
 
-  b = small_options();
-  b.use_streaming_link = true;
-  EXPECT_NE(store::build_fingerprint(a), store::build_fingerprint(b));
-
   // Round-count and synthesis knobs extend a checkpointed run without
   // invalidating it, so they stay out of the fingerprint.
   b = small_options();
   b.augment.max_rounds = 9;
   b.synthesis.max_per_patch = 5;
   EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
+
+  // Link-engine knobs never change candidate selection, so a checkpoint
+  // written under one setting resumes under any other.
+  b = small_options();
+  b.streaming_link.top_k = 3;
+  b.streaming_link.tile_cols = 64;
+  b.streaming_link.memory_cap_bytes = std::size_t{1} << 20;
+  b.streaming_link.threads = 2;
+  b.streaming_link.index.kind = core::IndexKind::kCoarse;
+  b.streaming_link.index.nprobe = 2;
+  EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
+}
+
+TEST_F(CheckpointTest, V1CheckpointIsRefusedAsUnsupportedVersion) {
+  core::BuildOptions options = small_options();
+  options.checkpoint_dir = dir("ckpt");
+  store::build_with_checkpoints(options);
+  const fs::path path = store::checkpoint_path(dir("ckpt"));
+
+  // Re-seal the same body under the old version line, so the refusal
+  // comes from the version check and not from the checksum.
+  const std::string sealed = store::read_file(path);
+  std::string body(store::strip_checksum_trailer(sealed, "checkpoint.csv"));
+  const std::string_view v2 = store::checkpoint_version_line();
+  ASSERT_EQ(body.compare(0, v2.size(), v2), 0);
+  body.replace(0, v2.size(), "#patchdb.checkpoint.v1");
+  store::atomic_write_file(path, store::with_checksum_trailer(std::move(body)));
+
+  try {
+    store::read_checkpoint(dir("ckpt"), store::kAnyFingerprint);
+    FAIL() << "a v1 checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
+  options.resume = true;
+  EXPECT_THROW(store::build_with_checkpoints(options), std::runtime_error);
 }
 
 TEST_F(CheckpointTest, CheckpointWriteReadRoundTrip) {

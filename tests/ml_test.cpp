@@ -1,15 +1,19 @@
 // Tests for the ML substrate: datasets, metrics, scalers, the ten-member
-// classifier panel, SMOTE, and the consensus ensemble.
+// classifier panel, SMOTE, the consensus ensemble, and k-fold cross
+// validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "ml/bayes.h"
 #include "ml/classifier.h"
+#include "ml/crossval.h"
 #include "ml/data.h"
 #include "ml/ensemble.h"
 #include "ml/forest.h"
@@ -175,6 +179,10 @@ struct PanelCase {
   std::function<std::unique_ptr<ml::Classifier>()> make;
   double min_accuracy;
 };
+
+// Without this, gtest prints the parameter as a raw byte dump that embeds
+// heap addresses, so the listed test names differ on every run.
+void PrintTo(const PanelCase& c, std::ostream* os) { *os << c.name; }
 
 class PanelSeparable : public ::testing::TestWithParam<PanelCase> {};
 
@@ -352,6 +360,50 @@ TEST(Ensemble, UnanimousOnCleanData) {
   std::vector<double> clearly_neg(6, -4.0);
   EXPECT_TRUE(ensemble.unanimous(clearly_pos));
   EXPECT_EQ(ensemble.agreement(clearly_neg), 0u);
+}
+
+// ---------------------------------------------------------- crossval --
+
+/// Balanced 4-dim blobs with interleaved labels (rows alternate 0/1).
+Dataset crossval_blobs(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Dataset data;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int label = static_cast<int>(i % 2);
+    std::vector<double> x(4);
+    for (double& v : x) v = rng.normal(label == 1 ? 2.0 : -2.0, 1.0);
+    data.push_back(std::move(x), label);
+  }
+  return data;
+}
+
+TEST(CrossVal, FiveFoldOnSeparableData) {
+  const Dataset data = crossval_blobs(300, 3);
+  const ml::CrossValResult result = ml::cross_validate(
+      data, 5, [] { return std::make_unique<ml::RandomForest>(); }, 7);
+  ASSERT_EQ(result.folds.size(), 5u);
+  EXPECT_GT(result.mean_accuracy(), 0.9);
+  EXPECT_GT(result.mean_precision(), 0.9);
+  EXPECT_GT(result.mean_recall(), 0.9);
+  EXPECT_GT(result.mean_f1(), 0.9);
+}
+
+TEST(CrossVal, FoldsCoverEveryRowOnce) {
+  const Dataset data = crossval_blobs(100, 5);
+  const ml::CrossValResult result = ml::cross_validate(
+      data, 4, [] { return std::make_unique<ml::RandomForest>(); }, 9);
+  std::size_t tested = 0;
+  for (const ml::Confusion& c : result.folds) {
+    tested += c.tp + c.fp + c.tn + c.fn;
+  }
+  EXPECT_EQ(tested, data.size());
+}
+
+TEST(CrossVal, RejectsBadK) {
+  const Dataset data = crossval_blobs(10, 7);
+  const auto factory = [] { return std::make_unique<ml::RandomForest>(); };
+  EXPECT_THROW(ml::cross_validate(data, 1, factory, 1), std::invalid_argument);
+  EXPECT_THROW(ml::cross_validate(data, 11, factory, 1), std::invalid_argument);
 }
 
 }  // namespace

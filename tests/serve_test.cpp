@@ -11,11 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "diff/render.h"
 #include "feature/features.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "serve/client.h"
 #include "serve/dataset.h"
 #include "serve/protocol.h"
@@ -443,6 +446,48 @@ TEST(ServeServer, Serves64ConcurrentConnectionsAcrossAllOps) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(ok_requests.load(), kConns * 5);
   EXPECT_GE(server.connections_accepted(), kConns);
+}
+
+TEST(ServeServer, RequestSpansAreNamedAfterTheirOp) {
+  const serve::ServedDataset dataset = make_dataset();
+  const std::string query_id = natural_patches().front().commit;
+  std::vector<std::string> names;
+  {
+    obs::ObsSession session("serve_span_names_test");
+    if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+    serve::Server server(dataset, serve::ServerOptions{});
+    server.start();
+    serve::Client client;
+    client.connect("127.0.0.1", server.port());
+    const serve::Response lookup = client.lookup(query_id);
+    const serve::Response responses[] = {
+        client.ping(),
+        lookup,
+        client.features(query_id),
+        client.nearest_by_id(query_id, 3),
+        client.stats(),
+        client.analyze(lookup.lookup.patch_text),
+        client.list_ids(),
+    };
+    for (const serve::Response& r : responses) {
+      EXPECT_EQ(r.status, serve::Status::kOk);
+    }
+    client.close();
+    server.stop();
+
+    // Per-request spans are the connection thread's root spans; the
+    // acceptor's span is the only other root.
+    for (const obs::SpanRecord& span : session.report().spans) {
+      if (span.depth == 0 && span.name != "serve.acceptor") {
+        names.push_back(span.name);
+      }
+    }
+  }
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> expected = {
+      "serve.analyze", "serve.features", "serve.list_ids", "serve.lookup",
+      "serve.nearest", "serve.ping",     "serve.stats"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(ServeServer, MalformedFrameGetsErrorResponseAndClose) {

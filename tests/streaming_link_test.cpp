@@ -6,8 +6,10 @@
 // inputs, and heap-exhausted fallback storms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -326,26 +328,70 @@ TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
   config.wild_security_rate = 0.12;
   config.seed = 4242;
   corpus::World world = corpus::build_world(config);
+  constexpr std::size_t kRounds = 3;
 
-  auto run = [&world](bool streaming) {
-    std::vector<const corpus::CommitRecord*> seed;
-    for (const corpus::CommitRecord& r : world.nvd_security) seed.push_back(&r);
-    std::vector<const corpus::CommitRecord*> pool;
-    for (const corpus::CommitRecord& r : world.wild) pool.push_back(&r);
-    core::AugmentationLoop loop(std::move(seed), world.oracle);
-    if (streaming) loop.use_streaming();
-    loop.set_pool(std::move(pool));
-    core::AugmentOptions options;
-    options.max_rounds = 2;
-    options.stop_ratio = 0.0;
-    loop.run(options);
-    return loop.wild_security();
-  };
+  using Records = std::vector<const corpus::CommitRecord*>;
+  Records seed;
+  for (const corpus::CommitRecord& r : world.nvd_security) seed.push_back(&r);
+  Records wild;
+  for (const corpus::CommitRecord& r : world.wild) wild.push_back(&r);
 
-  const auto dense_found = run(false);
-  const auto stream_found = run(true);
-  ASSERT_FALSE(dense_found.empty());
-  EXPECT_EQ(dense_found, stream_found);
+  // Reference: the dense Algorithm 1 oracle with the loop's bookkeeping
+  // (verified rows join the seed set, every candidate leaves the pool
+  // by swap-erase, highest index first).
+  Records ref_found;
+  Records ref_rejected;
+  {
+    Records security = seed;
+    Records pool = wild;
+    feature::FeatureMatrix sec_f(0);
+    for (const corpus::CommitRecord* r : security) {
+      sec_f.push_back(feature::extract(r->patch));
+    }
+    std::vector<feature::FeatureVector> pool_f;
+    for (const corpus::CommitRecord* r : pool) {
+      pool_f.push_back(feature::extract(r->patch));
+    }
+    for (std::size_t round = 0; round < kRounds && !pool.empty(); ++round) {
+      std::vector<std::size_t> selected;
+      if (pool.size() <= security.size()) {
+        for (std::size_t i = 0; i < pool.size(); ++i) selected.push_back(i);
+      } else {
+        feature::FeatureMatrix pool_m(0);
+        for (const feature::FeatureVector& v : pool_f) pool_m.push_back(v);
+        const core::DistanceMatrix d = core::distance_matrix(sec_f, pool_m);
+        selected = core::nearest_link_search(d).candidate;
+      }
+      for (std::size_t idx : selected) {
+        if (world.oracle.truth(pool[idx]->patch.commit).is_security) {
+          security.push_back(pool[idx]);
+          sec_f.push_back(pool_f[idx]);
+          ref_found.push_back(pool[idx]);
+        } else {
+          ref_rejected.push_back(pool[idx]);
+        }
+      }
+      std::sort(selected.begin(), selected.end(), std::greater<>());
+      for (std::size_t idx : selected) {
+        pool[idx] = pool.back();
+        pool_f[idx] = pool_f.back();
+        pool.pop_back();
+        pool_f.pop_back();
+      }
+    }
+  }
+
+  core::AugmentationLoop loop(seed, world.oracle);
+  loop.set_pool(wild);
+  core::AugmentOptions options;
+  options.max_rounds = kRounds;
+  options.stop_ratio = 0.0;
+  loop.run(options);
+
+  ASSERT_EQ(loop.rounds_run(), kRounds);
+  ASSERT_FALSE(ref_found.empty());
+  EXPECT_EQ(loop.wild_security(), ref_found);
+  EXPECT_EQ(loop.nonsecurity(), ref_rejected);
 }
 
 }  // namespace

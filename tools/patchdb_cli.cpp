@@ -11,12 +11,13 @@
 //       sizes the worker pool the streaming nearest-link engine shards
 //       across (wins over PATCHDB_THREADS; default: hardware
 //       concurrency). The export is bit-identical for every worker
-//       count. --index {exact,coarse,rproj} [--index-nprobe N] enables
-//       the phase-0 shortlist index in front of the streaming engine
-//       (implies --streaming; results stay bit-identical — the index
-//       only trades probes/rescans for wall-clock). --trace-out
-//       writes a Chrome trace of the run (load in Perfetto); --progress
-//       prints heartbeat lines from the long loops.
+//       count. --link-mem-mb MB caps the engine's working set.
+//       --index {exact,coarse} [--index-nprobe N] enables the phase-0
+//       shortlist index in front of the streaming engine (results stay
+//       bit-identical — the index only trades probes/rescans for
+//       wall-clock). --trace-out writes a Chrome trace of the run
+//       (load in Perfetto); --progress prints heartbeat lines from the
+//       long loops.
 //   patchdb stats DIR
 //       Summarize an exported dataset: component sizes, Table V type
 //       distribution, categorizer agreement.
@@ -95,9 +96,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: patchdb <command> [args]\n"
                "  build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
-               "        [--threads N]\n"
-               "        [--streaming] [--link-topk K] [--link-tile N] [--link-mem-mb MB]\n"
-               "        [--index exact|coarse|rproj] [--index-nprobe N]\n"
+               "        [--threads N] [--link-mem-mb MB]\n"
+               "        [--index exact|coarse] [--index-nprobe N]\n"
                "        [--checkpoint-dir D] [--resume]\n"
                "        [--trace-out FILE] [--sample-ms N] [--progress] [--progress-ms N]\n"
                "  stats DIR\n"
@@ -109,10 +109,8 @@ int usage() {
                "  variants \"CONDITION\"\n"
                "  presence FILE.patch TARGET_SOURCE_FILE\n"
                "  metrics [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
-               "          [--threads N]\n"
-               "          [--streaming] [--link-topk K] [--link-tile N]"
-               " [--link-mem-mb MB]\n"
-               "          [--index exact|coarse|rproj] [--index-nprobe N]\n"
+               "          [--threads N] [--link-mem-mb MB]\n"
+               "          [--index exact|coarse] [--index-nprobe N]\n"
                "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
                "          [--progress] [--progress-ms N]\n"
                "  metrics --validate FILE.json\n");
@@ -151,20 +149,11 @@ bool apply_threads_flag(const Flags& flags) {
   return true;
 }
 
-/// `--streaming [--link-topk K] [--link-tile N] [--link-mem-mb MB]`
-/// routes the augmentation rounds through the streaming tiled
-/// nearest-link engine (bit-identical results, bounded memory).
-/// `--index {exact,coarse,rproj} [--index-nprobe N]` adds the phase-0
-/// shortlist index on top (still bit-identical; implies --streaming).
+/// `--link-mem-mb MB` caps the streaming nearest-link engine's working
+/// set; `--index {exact,coarse} [--index-nprobe N]` adds the phase-0
+/// shortlist index in front of it. Neither changes the result.
 /// Returns false on a usage error (the caller exits 2).
 bool apply_link_flags(const Flags& flags, core::BuildOptions& options) {
-  const std::string index_kind = flags.value("--index", std::string());
-  if (!flags.has("--streaming") && index_kind.empty()) return true;
-  options.use_streaming_link = true;
-  options.streaming_link.top_k =
-      flags.value("--link-topk", options.streaming_link.top_k);
-  options.streaming_link.tile_cols =
-      flags.value("--link-tile", options.streaming_link.tile_cols);
   const std::size_t cap_mb = flags.value("--link-mem-mb", std::size_t{0});
   if (cap_mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
     std::fprintf(stderr, "%s: --link-mem-mb %zu overflows a byte count\n",
@@ -172,6 +161,7 @@ bool apply_link_flags(const Flags& flags, core::BuildOptions& options) {
     return false;
   }
   if (cap_mb > 0) options.streaming_link.memory_cap_bytes = cap_mb << 20;
+  const std::string index_kind = flags.value("--index", std::string());
   if (!index_kind.empty()) {
     try {
       options.streaming_link.index.kind = core::parse_index_kind(index_kind);
@@ -210,11 +200,10 @@ int cmd_build(const Flags& flags) {
   options.resume = flags.has("--resume");
   if (!apply_link_flags(flags, options)) return 2;
 
-  std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s%s\n",
+  std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s\n",
               options.world.nvd_security, options.world.wild_pool,
               options.augment.max_rounds,
               static_cast<std::size_t>(options.world.seed),
-              options.use_streaming_link ? " (streaming nearest link)" : "",
               options.checkpoint_dir.empty() ? "" : " (checkpointed)");
   CliObs cli_obs("patchdb build", flags);
   const core::PatchDb db = store::build_with_checkpoints(options);
