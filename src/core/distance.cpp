@@ -50,7 +50,7 @@ std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
   for (std::size_t i = 0; i < matrix.rows(); ++i) {
     const std::span<const double> row = matrix[i];
     for (std::size_t j = 0; j < dims; ++j) {
-      out[i * dims + j] = static_cast<float>(row[j] * weights[j]);
+      out[i * dims + j] = scale_cell(row[j], weights[j]);
     }
   }
   return out;

@@ -61,6 +61,14 @@ DistanceMatrix distance_matrix(const feature::FeatureMatrix& security,
 double weighted_distance(std::span<const double> a, std::span<const double> b,
                          std::span<const double> weights);
 
+/// The one scaling step every float feature row goes through: a double
+/// multiply, then a cast. Shared so a corpus row, a served query vector
+/// and a lane of the link engine's dim-major pool pack hold the exact
+/// same float for equal inputs.
+inline float scale_cell(double value, double weight) noexcept {
+  return static_cast<float>(value * weight);
+}
+
 /// Pre-scale a feature matrix by per-dimension weights into a packed
 /// row-major float buffer (rows() x weights.size()). This is the exact
 /// double-multiply-then-cast sequence the dense kernel uses; the

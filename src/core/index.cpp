@@ -26,7 +26,7 @@ std::size_t round_up_groups(std::size_t v) noexcept {
 
 /// Double-precision distance between a float column and a double
 /// centroid (the bound-side metric; the kernel-side metric is the float
-/// l2_cell, related through index_pending_margin).
+/// l2_cell, related through screen_margin).
 double col_centroid_distance(const float* b, const double* c,
                              std::size_t dims) noexcept {
   double total = 0.0;
@@ -270,7 +270,7 @@ class CoarseIndex final : public Index {
                          static_cast<std::uint32_t>(j));
     }
     return parts_.probe(order, k, n_, config_.nprobe,
-                        index_pending_margin(dims_), ranges);
+                        screen_margin(dims_), ranges);
   }
 
  private:

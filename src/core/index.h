@@ -76,15 +76,6 @@ struct IndexShortlist {
   std::size_t cols = 0;
 };
 
-/// Conservative relative margin applied to pending bounds before they
-/// are compared against float-kernel distances: covers the kernel's
-/// sequential float accumulation error (~(dims+2) ulps relative) and
-/// the double-precision geometry on the bound side, with 4x headroom —
-/// the same construction as the streaming engine's norm screen.
-inline double index_pending_margin(std::size_t dims) noexcept {
-  return 4.0 * static_cast<double>(dims + 2) * 0x1p-24 + 1e-7;
-}
-
 class Index {
  public:
   virtual ~Index() = default;

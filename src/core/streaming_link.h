@@ -11,10 +11,11 @@
 //      pass-1 stream runs with no shared mutable state (no atomics, no
 //      locks on the hot path);
 //   2. evaluates each tile through the blocked SIMD kernel
-//      (core/link_kernel.h): columns are packed dim-major in groups of
-//      kLinkGroupCols so the inner distance loop vectorizes, while the
-//      Cauchy-Schwarz norm screen is hoisted to one decision per group
-//      using precomputed per-group norm bounds;
+//      (core/link_kernel.h, AVX2 when the CPU has it): the pool is
+//      packed dim-major once per call in groups of kLinkGroupCols so
+//      the inner distance loop vectorizes, while the Cauchy-Schwarz
+//      norm screen is hoisted to one decision per group using per-group
+//      norm bounds;
 //   3. merges the worker heaps per row after the stream — sort the
 //      union under the strict (distance, column) order and keep the k
 //      smallest. The order is total (columns are unique), so the merge
@@ -24,8 +25,10 @@
 //      row's cached minimum instead of the dense path's O(M^2) linear
 //      argmin sweep. When a row's heap is fully consumed by earlier
 //      links the engine falls back to a tracked full-row re-scan
-//      (counter `nearest_link.fallback_rescans`), itself parallelized
-//      over fixed column ranges with a deterministic in-order merge.
+//      (counters `nearest_link.fallback_rescans` and
+//      `nearest_link.rescan_cells`) through the same kernel over the
+//      same pack, parallelized over fixed column ranges with a
+//      deterministic merge under the (distance, column) order.
 //
 // Results are bit-identical to
 //   nearest_link_search(distance_matrix(security, wild, weights))
@@ -74,8 +77,9 @@ struct StreamingLinkConfig {
   std::size_t threads = 0;
 
   /// Optional cap (bytes) on the engine-owned working set: the shard
-  /// heaps, merged heaps, dim-major pack buffers, and norm-bound
-  /// tables. 0 = uncapped. When the cap binds, tile_cols, then top_k,
+  /// heaps, merged heaps, and norm-bound tables. The one dim-major pool
+  /// pack is input-sized, like the scaled features, and not counted.
+  /// 0 = uncapped. When the cap binds, tile_cols, then top_k,
   /// then threads shrink (floors: 64 / 1 / 1) rather than allocating
   /// past it; a cap the floor configuration still exceeds makes
   /// resolve() throw std::invalid_argument instead of silently
@@ -92,7 +96,7 @@ struct StreamingLinkConfig {
     std::size_t top_k = 0;
     std::size_t tile_cols = 0;
     std::size_t threads = 0;
-    /// Engine-owned bytes under the cap: heaps, cursors, norms, packs.
+    /// Engine-owned bytes under the cap: heaps, cursors, norms.
     std::size_t working_set_bytes = 0;
   };
   /// The effective knobs for an M x N problem over `dims` feature
@@ -113,6 +117,7 @@ struct StreamingLinkStats {
   std::size_t exact_cells = 0;       // ran the blocked exact kernel
   std::size_t topk_hits = 0;         // links served from a row's heap
   std::size_t fallback_rescans = 0;  // links that re-scanned a full row
+  std::size_t rescan_cells = 0;      // cells computed by full-row rescans
   std::size_t index_probes = 0;          // partitions probed (phase 0)
   std::size_t index_shortlist_cols = 0;  // columns shortlisted (phase 0)
   std::size_t index_screened_cells = 0;  // cells skipped by index masks

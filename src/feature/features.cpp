@@ -264,21 +264,30 @@ InterprocFeatureVector extract_interproc(const diff::Patch& patch) {
   return extract_interproc(patch, RepoContext{});
 }
 
-FeatureMatrix extract_all(std::span<const diff::Patch> patches, FeatureSpace space) {
+FeatureMatrix extract_all(std::span<const diff::Patch* const> patches,
+                          FeatureSpace space) {
   FeatureMatrix matrix(patches.size(), feature_dims(space));
   util::default_pool().parallel_for(
       patches.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
+          const diff::Patch& patch = *patches[i];
           if (space == FeatureSpace::kSyntactic) {
-            matrix.set_row(i, extract(patches[i]));
+            matrix.set_row(i, extract(patch));
           } else if (space == FeatureSpace::kSemantic) {
-            matrix.set_row(i, extract_extended(patches[i]));
+            matrix.set_row(i, extract_extended(patch));
           } else {
-            matrix.set_row(i, extract_interproc(patches[i]));
+            matrix.set_row(i, extract_interproc(patch));
           }
         }
       });
   return matrix;
+}
+
+FeatureMatrix extract_all(std::span<const diff::Patch> patches, FeatureSpace space) {
+  std::vector<const diff::Patch*> pointers;
+  pointers.reserve(patches.size());
+  for (const diff::Patch& patch : patches) pointers.push_back(&patch);
+  return extract_all(std::span<const diff::Patch* const>(pointers), space);
 }
 
 }  // namespace patchdb::feature

@@ -158,4 +158,9 @@ class FeatureMatrix {
 FeatureMatrix extract_all(std::span<const diff::Patch> patches,
                           FeatureSpace space = FeatureSpace::kSyntactic);
 
+/// Same, for patches held inside other records: row i is the vector of
+/// *patches[i]. Spares callers a copy of every patch.
+FeatureMatrix extract_all(std::span<const diff::Patch* const> patches,
+                          FeatureSpace space = FeatureSpace::kSyntactic);
+
 }  // namespace patchdb::feature

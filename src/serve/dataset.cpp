@@ -1,5 +1,7 @@
 #include "serve/dataset.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -94,16 +96,17 @@ void ServedDataset::index_and_precompute() {
   // The nearest-query corpus: Table I features of the natural patches,
   // scaled by the max-abs weights learned over that same set — the
   // Section III-B.2 normalization with the served corpus as the union.
-  std::vector<diff::Patch> natural;
+  std::vector<const diff::Patch*> natural;
   natural.reserve(natural_rows_);
   for (std::size_t i = 0; i < natural_rows_; ++i) {
-    natural.push_back(patches_[i].patch);
+    natural.push_back(&patches_[i].patch);
   }
   natural_features_ = feature::extract_all(natural);
   dims_ = natural_features_.cols();
   if (natural_rows_ > 0) {
     weights_ = core::maxabs_weights(natural_features_, natural_features_);
     scaled_ = core::scale_features(natural_features_, weights_);
+    knn_corpus_ = core::KnnCorpus(scaled_, dims_);
   }
 
   // Table V composition over the labeled security patches, the same
@@ -232,12 +235,19 @@ Response ServedDataset::nearest(const NearestRequest& request) const {
           "query vector has " + std::to_string(request.vector.size()) +
               " dimensions, dataset uses " + std::to_string(dims_));
     }
+    // A NaN distance has no place in the (distance, index) order the
+    // k-NN heap relies on, so a non-finite component is refused.
+    if (!std::all_of(request.vector.begin(), request.vector.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      return error_response(Status::kBadRequest,
+                            "query vector has a non-finite component");
+    }
     query_storage = core::scale_query(request.vector, weights_);
     query = query_storage;
   }
 
   const std::vector<core::KnnHit> hits =
-      core::knn_query(scaled_, dims_, query, request.k);
+      core::knn_query(knn_corpus_, query, request.k);
   Response response;
   response.nearest.hits.reserve(hits.size());
   for (const core::KnnHit& hit : hits) {

@@ -9,10 +9,11 @@
 // At load the snapshot precomputes what queries need:
 //   - an id -> patch index over every component,
 //   - the Table I feature matrix of the natural patches, the max-abs
-//     weights learned over it, and the weight-scaled float rows the
-//     nearest-link kernels operate on (core::scale_features), so
-//     k-nearest answers are bit-identical to the offline dense and
-//     streaming link paths,
+//     weights learned over it, the weight-scaled float rows the
+//     nearest-link kernels operate on (core::scale_features), and one
+//     dim-major pack of those rows (core::KnnCorpus) that every nearest
+//     query scans through the blocked link kernel, so k-nearest answers
+//     are bit-identical to the offline dense and streaming link paths,
 //   - the Table V composition (ground-truth and categorizer counts).
 //
 // Synthetic patches are looked up and featurized like natural ones but
@@ -26,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/query.h"
 #include "corpus/repo.h"
 #include "feature/features.h"
 #include "serve/protocol.h"
@@ -110,6 +112,7 @@ class ServedDataset {
   feature::FeatureMatrix natural_features_;
   std::vector<double> weights_;
   std::vector<float> scaled_;
+  core::KnnCorpus knn_corpus_;
 
   StatsResponse stats_;
 };

@@ -56,22 +56,25 @@ std::uint64_t write_patch_file(const fs::path& dir, const std::string& commit,
   return util::fnv1a64(content);
 }
 
+/// Write one component's patch files and append its manifest rows and
+/// its features.csv rows; row i's vector is rows[first_row + i].
 void export_records(const std::vector<corpus::CommitRecord>& records,
                     const char* component, const fs::path& root,
+                    const feature::FeatureMatrix& rows, std::size_t first_row,
                     std::string& manifest, std::string& features,
                     ExportStats& stats) {
   const fs::path dir = root / component;
   fs::create_directories(dir);
-  for (const corpus::CommitRecord& record : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const corpus::CommitRecord& record = records[i];
     const std::uint64_t checksum =
         write_patch_file(dir, record.patch.commit, record.patch);
     manifest += manifest_row(record.patch.commit, component,
                              record.truth.is_security,
                              static_cast<int>(record.truth.type), record.repo,
                              "", 0, 0, checksum);
-    const feature::FeatureVector v = feature::extract(record.patch);
     features += record.patch.commit;
-    for (double value : v) {
+    for (double value : rows[first_row + i]) {
       features += ',';
       features += util::format_double(value, 6);
     }
@@ -151,9 +154,28 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   }
   features += '\n';
 
-  export_records(db.nvd_security, "nvd", root, manifest, features, stats);
-  export_records(db.wild_security, "wild", root, manifest, features, stats);
-  export_records(db.nonsecurity, "nonsecurity", root, manifest, features, stats);
+  // features.csv rows for every natural patch, extracted in parallel up
+  // front; the writes below stay serial and in component order, so the
+  // file is byte-identical to a serial extraction.
+  std::vector<const diff::Patch*> natural;
+  natural.reserve(db.nvd_security.size() + db.wild_security.size() +
+                  db.nonsecurity.size());
+  for (const auto* component :
+       {&db.nvd_security, &db.wild_security, &db.nonsecurity}) {
+    for (const corpus::CommitRecord& record : *component) {
+      natural.push_back(&record.patch);
+    }
+  }
+  const feature::FeatureMatrix rows = feature::extract_all(natural);
+  const std::size_t wild_row = db.nvd_security.size();
+  const std::size_t nonsecurity_row = wild_row + db.wild_security.size();
+
+  export_records(db.nvd_security, "nvd", root, rows, 0, manifest, features,
+                 stats);
+  export_records(db.wild_security, "wild", root, rows, wild_row, manifest,
+                 features, stats);
+  export_records(db.nonsecurity, "nonsecurity", root, rows, nonsecurity_row,
+                 manifest, features, stats);
 
   const fs::path synth_dir = root / "synthetic";
   fs::create_directories(synth_dir);

@@ -3,7 +3,9 @@
 // augmentation loop, the Table III baselines, and the categorizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/augment.h"
@@ -12,6 +14,7 @@
 #include "core/distance.h"
 #include "core/nearest_link.h"
 #include "core/patchdb.h"
+#include "core/query.h"
 #include "corpus/world.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -94,6 +97,127 @@ TEST(Distance, KernelCountersAreRecorded) {
   EXPECT_EQ(snap.counter("distance.cells"), 36u);
   EXPECT_GT(snap.counter("distance.flops"), 0u);
   EXPECT_EQ(snap.counter("nearest_link.links"), 4u);
+}
+
+// ---------------------------------------------------------- knn query --
+
+/// Scalar oracle: every row through l2_cell, then a full sort by
+/// (distance, index) — what knn_query must return, bit for bit.
+std::vector<core::KnnHit> knn_oracle(std::span<const float> scaled,
+                                     std::size_t dims,
+                                     std::span<const float> query,
+                                     std::size_t k) {
+  std::vector<core::KnnHit> all;
+  for (std::size_t r = 0; r * dims < scaled.size(); ++r) {
+    all.push_back({r, core::l2_cell(query.data(), scaled.data() + r * dims,
+                                    dims)});
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.distance != b.distance ? a.distance < b.distance
+                                    : a.index < b.index;
+  });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// Rows whose norms climb with the row index (so whole 64-row groups
+/// sit far from a small query and the group screen has work to do),
+/// with every seventh row a duplicate of the row before it.
+std::vector<float> knn_rows(std::size_t rows, std::size_t dims,
+                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> scaled(rows * dims);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = scaled.data() + r * dims;
+    if (r > 0 && r % 7 == 0) {
+      std::copy_n(row - dims, dims, row);
+      continue;
+    }
+    const double magnitude = 1.0 + static_cast<double>(r / 64) * 4.0;
+    for (std::size_t j = 0; j < dims; ++j) {
+      row[j] = static_cast<float>(magnitude * rng.uniform(-1, 1));
+    }
+  }
+  return scaled;
+}
+
+TEST(KnnQuery, PropertySweepMatchesScalarOracle) {
+  util::Rng rng(31);
+  for (const std::size_t dims : {std::size_t{3}, feature::kFeatureCount}) {
+    for (const std::size_t rows : {1, 5, 63, 64, 65, 130, 257}) {
+      const std::vector<float> scaled = knn_rows(rows, dims, rows * 7 + dims);
+      const core::KnnCorpus corpus(scaled, dims);
+      ASSERT_EQ(corpus.rows(), rows);
+      std::vector<float> random_query(dims);
+      for (float& v : random_query) v = static_cast<float>(rng.uniform(-2, 2));
+      const std::span<const float> corpus_row =
+          std::span<const float>(scaled).subspan((rows / 2) * dims, dims);
+      for (const std::span<const float> query :
+           {std::span<const float>(random_query), corpus_row}) {
+        for (const std::size_t k :
+             {std::size_t{1}, std::size_t{3}, std::size_t{10}, rows,
+              rows + 5}) {
+          EXPECT_EQ(core::knn_query(corpus, query, k),
+                    knn_oracle(scaled, dims, query, k))
+              << "dims=" << dims << " rows=" << rows << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnQuery, DuplicateRowsTieTowardLowestIndex) {
+  // 70 copies of one row: every distance ties, so the hits are the
+  // lowest indices in order — across the 64-row group boundary too.
+  const std::size_t dims = 4;
+  std::vector<float> scaled;
+  for (std::size_t r = 0; r < 70; ++r) {
+    scaled.insert(scaled.end(), {1.0f, -2.0f, 0.5f, 3.0f});
+  }
+  const core::KnnCorpus corpus(scaled, dims);
+  const std::vector<float> query = {0.0f, 0.0f, 0.0f, 0.0f};
+  const std::vector<core::KnnHit> hits = core::knn_query(corpus, query, 66);
+  ASSERT_EQ(hits.size(), 66u);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].index, i);
+    EXPECT_EQ(hits[i].distance, hits[0].distance);
+  }
+  EXPECT_EQ(hits, knn_oracle(scaled, dims, query, 66));
+}
+
+TEST(KnnQuery, EmptyCorpusOrQueryYieldsNoHits) {
+  const std::vector<float> query = {1.0f, 2.0f};
+  EXPECT_TRUE(core::knn_query(core::KnnCorpus{}, query, 3).empty());
+  EXPECT_TRUE(core::knn_query(core::KnnCorpus({}, 2), query, 3).empty());
+  const std::vector<float> scaled = {1.0f, 1.0f, 2.0f, 2.0f};
+  const core::KnnCorpus corpus(scaled, 2);
+  EXPECT_TRUE(core::knn_query(corpus, {}, 3).empty());
+  EXPECT_TRUE(core::knn_query(corpus, query, 0).empty());
+  const std::vector<float> wrong_width = {1.0f, 2.0f, 3.0f};
+  EXPECT_TRUE(core::knn_query(corpus, wrong_width, 3).empty());
+}
+
+TEST(KnnQuery, CountsComputedAndPrunedCells) {
+  obs::MetricsRegistry registry;
+  auto* previous = obs::install_registry(&registry);
+  const std::size_t dims = feature::kFeatureCount;
+  const std::size_t rows = 640;
+  const std::vector<float> scaled = knn_rows(rows, dims, 5);
+  const core::KnnCorpus corpus(scaled, dims);
+  // A row of the first (smallest-norm) group: the far groups fall to
+  // the screen once the heap is full.
+  const std::span<const float> query =
+      std::span<const float>(scaled).subspan(3 * dims, dims);
+  const std::vector<core::KnnHit> hits = core::knn_query(corpus, query, 5);
+  obs::install_registry(previous);
+
+  EXPECT_EQ(hits, knn_oracle(scaled, dims, query, 5));
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("query.knn"), 1u);
+  EXPECT_EQ(snap.counter("query.knn.cells") +
+                snap.counter("query.knn.pruned_cells"),
+            rows);
+  EXPECT_GT(snap.counter("query.knn.pruned_cells"), 0u);
 }
 
 // ------------------------------------------------------- nearest link --

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -368,6 +369,13 @@ TEST(ServeDataset, RejectsBadQueries) {
   serve::NearestRequest nearest;
   nearest.by_id = false;
   nearest.vector = {1.0, 2.0};  // wrong dimensionality
+  EXPECT_EQ(dataset.nearest(nearest).status, serve::Status::kBadRequest);
+  nearest.vector.assign(dataset.weights().size(), 0.5);
+  nearest.k = 3;
+  ASSERT_EQ(dataset.nearest(nearest).status, serve::Status::kOk);
+  nearest.vector[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(dataset.nearest(nearest).status, serve::Status::kBadRequest);
+  nearest.vector[1] = std::numeric_limits<double>::infinity();
   EXPECT_EQ(dataset.nearest(nearest).status, serve::Status::kBadRequest);
   nearest.by_id = true;
   nearest.id = natural_patches().front().commit;
