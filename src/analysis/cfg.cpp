@@ -496,12 +496,11 @@ Cfg build_cfg(std::span<const lang::Token> tokens, std::string function_name) {
 
 std::vector<Cfg> build_cfgs(std::string_view source) {
   const std::vector<lang::Token> tokens = lang::lex(source);
-  const lang::ParsedFile parsed = lang::parse_source(source);
 
   std::vector<Cfg> out;
   std::vector<bool> covered(tokens.size(), false);
 
-  for (const lang::FunctionInfo& fn : parsed.functions) {
+  for (const lang::FunctionInfo& fn : lang::find_functions(tokens)) {
     // Locate the name token, its parameter list, and the body braces.
     std::size_t name_index = kNpos;
     for (std::size_t i = 0; i < tokens.size(); ++i) {

@@ -112,99 +112,93 @@ void scan_declaration(const std::vector<lang::Token>& toks, StatementFacts& fact
   }
 }
 
-FactSet union_of(const FactSet& a, const FactSet& b) {
-  FactSet out = a;
-  out.insert(b.begin(), b.end());
-  return out;
-}
-
 bool merge_into(FactSet& into, const FactSet& from) {
   const std::size_t before = into.size();
-  into.insert(from.begin(), from.end());
+  into.merge(from);
   return into.size() != before;
 }
 
-/// Transfer function: (set − kill) ∪ gen applied in an order chosen per
-/// pass (gen_first handles `if (!(p = malloc(n)))`, where the allocation
-/// and its null test share one statement).
-void apply(FactSet& set, const FactSet& gen, const FactSet& kill, bool gen_first) {
-  if (gen_first) {
-    set.insert(gen.begin(), gen.end());
-    for (const std::string& k : kill) set.erase(k);
-  } else {
-    for (const std::string& k : kill) set.erase(k);
-    set.insert(gen.begin(), gen.end());
+void erase_all(FactSet& set, const FactSet& names) {
+  for (const std::string& name : names) set.erase(name);
+}
+
+/// Erase the defs of `f` that are not in `keep`.
+void erase_defs_except(FactSet& set, const StatementFacts& f, const FactSet& keep) {
+  for (const std::string& d : f.defs) {
+    if (keep.count(d) == 0) set.erase(d);
   }
 }
 
-struct PassSpec {
-  // gen/kill as a function of the statement facts.
-  FactSet (*gen)(const StatementFacts&);
-  FactSet (*kill)(const StatementFacts&);
-  bool gen_first = false;
-};
+// --- pass transfer functions -------------------------------------------
+// Each applies one statement to a pass's set in place: (set − kill) ∪
+// gen, or (set ∪ gen) − kill for the unchecked-alloc pass, whose
+// allocation and null test can share one statement
+// (`if (!(p = malloc(n)))`).
+
+/// Declared without an initializer; killed by any assignment or &x.
+void step_uninit(FactSet& set, const StatementFacts& f) {
+  erase_all(set, f.defs);
+  erase_all(set, f.addr_taken);
+  set.merge(f.decls_uninit);
+}
+
+/// Freed; killed by reassignment or reallocation.
+void step_freed(FactSet& set, const StatementFacts& f) {
+  erase_all(set, f.defs);
+  erase_all(set, f.alloc_defs);
+  set.merge(f.freed);
+}
+
+/// Allocation result not yet null-tested; killed by a null test or a
+/// non-allocating reassignment.
+void step_unchecked(FactSet& set, const StatementFacts& f) {
+  set.merge(f.alloc_defs);
+  erase_all(set, f.null_tested);
+  erase_defs_except(set, f, f.alloc_defs);
+}
+
+/// Pointer parameters (seeded at entry) not yet null-tested or reassigned.
+void step_params(FactSet& set, const StatementFacts& f) {
+  erase_all(set, f.null_tested);
+  erase_all(set, f.defs);
+}
+
+/// Constrained by a relational condition; killed by an unguarded
+/// reassignment.
+void step_guarded(FactSet& set, const StatementFacts& f) {
+  erase_defs_except(set, f, f.bound_tested);
+  set.merge(f.bound_tested);
+}
+
+using Step = void (*)(FactSet&, const StatementFacts&);
 
 FlowSets solve_forward(const Cfg& cfg,
                        const std::vector<std::vector<StatementFacts>>& facts,
-                       const PassSpec& pass, const FactSet& entry_seed) {
+                       Step step, const FactSet& entry_seed) {
   FlowSets sets;
   sets.entry.resize(cfg.blocks.size());
   sets.entry[Cfg::kEntry] = entry_seed;
 
-  auto exit_of = [&](std::size_t b) {
-    FactSet set = sets.entry[b];
-    for (const StatementFacts& f : facts[b]) {
-      apply(set, pass.gen(f), pass.kill(f), pass.gen_first);
-    }
-    return set;
-  };
-
+  // The transfers are monotone and merging only grows entry sets, so any
+  // visit order reaches the same least fixpoint; a block already waiting
+  // in the worklist is not queued a second time.
   std::deque<std::size_t> worklist;
+  std::vector<char> queued(cfg.blocks.size(), 1);
   for (const BasicBlock& block : cfg.blocks) worklist.push_back(block.id);
   while (!worklist.empty()) {
     const std::size_t b = worklist.front();
     worklist.pop_front();
-    const FactSet out = exit_of(b);
+    queued[b] = 0;
+    FactSet out = sets.entry[b];
+    for (const StatementFacts& f : facts[b]) step(out, f);
     for (std::size_t succ : cfg.blocks[b].succs) {
-      if (merge_into(sets.entry[succ], out)) worklist.push_back(succ);
+      if (merge_into(sets.entry[succ], out) && !queued[succ]) {
+        queued[succ] = 1;
+        worklist.push_back(succ);
+      }
     }
   }
   return sets;
-}
-
-// --- pass gen/kill definitions -----------------------------------------
-
-FactSet gen_uninit(const StatementFacts& f) { return f.decls_uninit; }
-FactSet kill_uninit(const StatementFacts& f) {
-  return union_of(f.defs, f.addr_taken);
-}
-
-FactSet gen_freed(const StatementFacts& f) { return f.freed; }
-FactSet kill_freed(const StatementFacts& f) {
-  return union_of(f.defs, f.alloc_defs);
-}
-
-FactSet gen_unchecked(const StatementFacts& f) { return f.alloc_defs; }
-FactSet kill_unchecked(const StatementFacts& f) {
-  FactSet kill = f.null_tested;
-  for (const std::string& d : f.defs) {
-    if (f.alloc_defs.count(d) == 0) kill.insert(d);
-  }
-  return kill;
-}
-
-FactSet gen_nothing(const StatementFacts&) { return {}; }
-FactSet kill_params(const StatementFacts& f) {
-  return union_of(f.null_tested, f.defs);
-}
-
-FactSet gen_guarded(const StatementFacts& f) { return f.bound_tested; }
-FactSet kill_guarded(const StatementFacts& f) {
-  FactSet kill;
-  for (const std::string& d : f.defs) {
-    if (f.bound_tested.count(d) == 0) kill.insert(d);
-  }
-  return kill;
 }
 
 }  // namespace
@@ -525,16 +519,11 @@ DataflowResult analyze_dataflow(const Cfg& cfg) {
 
 DataflowResult resolve_dataflow(const Cfg& cfg, DataflowResult result) {
   FactSet params(cfg.pointer_params.begin(), cfg.pointer_params.end());
-  result.maybe_uninit =
-      solve_forward(cfg, result.facts, {gen_uninit, kill_uninit, false}, {});
-  result.maybe_freed =
-      solve_forward(cfg, result.facts, {gen_freed, kill_freed, false}, {});
-  result.unchecked_alloc = solve_forward(
-      cfg, result.facts, {gen_unchecked, kill_unchecked, true}, {});
-  result.unguarded_params = solve_forward(
-      cfg, result.facts, {gen_nothing, kill_params, false}, params);
-  result.bound_guarded =
-      solve_forward(cfg, result.facts, {gen_guarded, kill_guarded, false}, {});
+  result.maybe_uninit = solve_forward(cfg, result.facts, step_uninit, {});
+  result.maybe_freed = solve_forward(cfg, result.facts, step_freed, {});
+  result.unchecked_alloc = solve_forward(cfg, result.facts, step_unchecked, {});
+  result.unguarded_params = solve_forward(cfg, result.facts, step_params, params);
+  result.bound_guarded = solve_forward(cfg, result.facts, step_guarded, {});
 
   // Backward liveness to a fixpoint (computed after the forward passes).
   result.live_out.resize(cfg.blocks.size());
@@ -549,9 +538,9 @@ DataflowResult resolve_dataflow(const Cfg& cfg, DataflowResult result) {
         const std::vector<StatementFacts>& facts = result.facts[succ];
         for (std::size_t s = facts.size(); s-- > 0;) {
           for (const std::string& d : facts[s].defs) live.erase(d);
-          live.insert(facts[s].uses.begin(), facts[s].uses.end());
+          live.merge(facts[s].uses);
         }
-        out.insert(live.begin(), live.end());
+        out.merge(live);
       }
       if (out != result.live_out[b]) {
         result.live_out[b] = std::move(out);
@@ -573,11 +562,11 @@ FlowState state_at_entry(const DataflowResult& dataflow, std::size_t block) {
 }
 
 void advance(FlowState& state, const StatementFacts& facts) {
-  apply(state.maybe_uninit, gen_uninit(facts), kill_uninit(facts), false);
-  apply(state.maybe_freed, gen_freed(facts), kill_freed(facts), false);
-  apply(state.unchecked_alloc, gen_unchecked(facts), kill_unchecked(facts), true);
-  apply(state.unguarded_params, gen_nothing(facts), kill_params(facts), false);
-  apply(state.bound_guarded, gen_guarded(facts), kill_guarded(facts), false);
+  step_uninit(state.maybe_uninit, facts);
+  step_freed(state.maybe_freed, facts);
+  step_unchecked(state.unchecked_alloc, facts);
+  step_params(state.unguarded_params, facts);
+  step_guarded(state.bound_guarded, facts);
 }
 
 }  // namespace patchdb::analysis

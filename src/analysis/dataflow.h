@@ -6,8 +6,9 @@
 // dereference", and so on.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <set>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,61 @@
 
 namespace patchdb::analysis {
 
-using FactSet = std::set<std::string>;
+/// A set of variable names, iterated in sorted order like std::set.
+/// Fact sets hold a handful of names, so a sorted vector is cheaper than
+/// a node-based set for everything the passes do with them: copies,
+/// merges and erases.
+class FactSet {
+ public:
+  using const_iterator = std::vector<std::string>::const_iterator;
+
+  FactSet() = default;
+  template <class It>
+  FactSet(It first, It last) {
+    for (; first != last; ++first) insert(*first);
+  }
+
+  /// Adds `name`; false when it was already present.
+  bool insert(const std::string& name) {
+    const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+    if (it != names_.end() && *it == name) return false;
+    names_.insert(it, name);
+    return true;
+  }
+  /// Adds every name of `other` in one sorted merge.
+  void merge(const FactSet& other) {
+    if (other.names_.empty()) return;
+    if (names_.empty()) {
+      names_ = other.names_;
+      return;
+    }
+    std::vector<std::string> merged;
+    merged.reserve(names_.size() + other.names_.size());
+    std::set_union(std::make_move_iterator(names_.begin()),
+                   std::make_move_iterator(names_.end()), other.names_.begin(),
+                   other.names_.end(), std::back_inserter(merged));
+    names_ = std::move(merged);
+  }
+  /// Removes `name`; returns how many were removed (0 or 1).
+  std::size_t erase(const std::string& name) {
+    const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+    if (it == names_.end() || *it != name) return 0;
+    names_.erase(it);
+    return 1;
+  }
+  std::size_t count(const std::string& name) const {
+    return std::binary_search(names_.begin(), names_.end(), name) ? 1 : 0;
+  }
+
+  const_iterator begin() const noexcept { return names_.begin(); }
+  const_iterator end() const noexcept { return names_.end(); }
+  std::size_t size() const noexcept { return names_.size(); }
+
+  friend bool operator==(const FactSet&, const FactSet&) = default;
+
+ private:
+  std::vector<std::string> names_;  // sorted, unique
+};
 
 /// Security-relevant facts of one statement, recovered from its tokens.
 struct StatementFacts {

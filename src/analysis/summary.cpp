@@ -57,7 +57,7 @@ FunctionSummary summarize_function(const Cfg& cfg, const SummaryTable& table) {
   FactSet alloc_vars;
   for (const std::vector<StatementFacts>& block : dataflow.facts) {
     for (const StatementFacts& facts : block) {
-      alloc_vars.insert(facts.alloc_defs.begin(), facts.alloc_defs.end());
+      alloc_vars.merge(facts.alloc_defs);
     }
   }
 

@@ -207,7 +207,7 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
     // Operators: try longest match from the table.
     bool matched = false;
     for (std::string_view op : kOperators3Plus) {
-      if (source.substr(s.pos, op.size()) == op) {
+      if (op.front() == c && source.substr(s.pos, op.size()) == op) {
         for (std::size_t i = 0; i < op.size(); ++i) s.advance();
         tokens.push_back(Token{TokenKind::kOperator, std::string(op), tok_line, tok_col});
         matched = true;

@@ -63,13 +63,11 @@ std::size_t statement_end(const std::vector<Token>& tokens, std::size_t start) {
 
 }  // namespace
 
-ParsedFile parse_source(std::string_view source) {
-  ParsedFile out;
-  const std::vector<Token> tokens = lex(source);
-
-  // --- Function definitions: `name ( ... ) {` at brace depth 0, where
-  // the matching ')' is directly followed by '{' (ignoring common
-  // attributes is out of scope for generated corpora).
+std::vector<FunctionInfo> find_functions(const std::vector<Token>& tokens) {
+  std::vector<FunctionInfo> functions;
+  // Function definitions: `name ( ... ) {` at brace depth 0, where the
+  // matching ')' is directly followed by '{' (ignoring common attributes
+  // is out of scope for generated corpora).
   std::size_t depth = 0;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
@@ -101,10 +99,17 @@ ParsedFile parse_source(std::string_view source) {
     fn.signature_line = t.line;
     fn.body_begin_line = tokens[close + 1].line;
     fn.body_end_line = tokens[body_end].line;
-    out.functions.push_back(std::move(fn));
-    // Note: we do not skip past the body; nested lambdas/ifs are found by
-    // the passes below which scan the whole token stream.
+    functions.push_back(std::move(fn));
+    // Note: we do not skip past the body; parse_source finds nested ifs
+    // and loops with separate passes over the whole token stream.
   }
+  return functions;
+}
+
+ParsedFile parse_source(std::string_view source) {
+  ParsedFile out;
+  const std::vector<Token> tokens = lex(source);
+  out.functions = find_functions(tokens);
 
   // --- if statements and loops.
   for (std::size_t i = 0; i < tokens.size(); ++i) {

@@ -57,6 +57,10 @@ ParsedFile parse_file(const std::vector<std::string>& lines);
 /// Parse a file given as one string.
 ParsedFile parse_source(std::string_view source);
 
+/// The function definitions of an already-lexed file (lex() with default
+/// options) — parse_source's `functions`, without re-lexing.
+std::vector<FunctionInfo> find_functions(const std::vector<Token>& tokens);
+
 /// Find the innermost function containing `line`, if any.
 const FunctionInfo* enclosing_function(const ParsedFile& parsed, std::size_t line);
 

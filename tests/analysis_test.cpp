@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "analysis/report.h"
 #include "diff/parse.h"
 #include "feature/features.h"
+#include "util/rng.h"
 
 namespace patchdb {
 namespace {
@@ -187,6 +189,60 @@ TEST(Dataflow, InitializedDeclarationIsNotFlagged) {
   for (const analysis::Diagnostic& d : analysis::run_checkers(cfgs[0])) {
     EXPECT_NE(d.checker, CheckerId::kUninitUse) << d.message;
   }
+}
+
+TEST(Dataflow, FreeInLoopBodyReachesTheNextIteration) {
+  // The free at the end of the body flows around the back edge, so the
+  // dereference at the top of the body is a use-after-free on the
+  // second iteration: the fixpoint must revisit the loop head.
+  const analysis::FileReport report = analysis::analyze_source(
+      "void drain(struct node *n, int k)\n"
+      "{\n"
+      "    while (k) {\n"
+      "        n->next = 0;\n"
+      "        free(n);\n"
+      "        k--;\n"
+      "    }\n"
+      "}\n");
+  EXPECT_TRUE(std::any_of(report.diagnostics.begin(), report.diagnostics.end(),
+                          [](const analysis::Diagnostic& d) {
+                            return d.checker == CheckerId::kUseAfterFree && d.symbol == "n";
+                          }));
+}
+
+TEST(Dataflow, FactSetBehavesLikeAnOrderedSet) {
+  // Random inserts, erases and merges against std::set: same return
+  // values, same members, same sorted iteration order.
+  util::Rng rng(7);
+  const std::vector<std::string> names = {"p", "q", "buf", "len", "a", "b_1", "zz", "_x"};
+  analysis::FactSet set;
+  std::set<std::string> model;
+  for (int step = 0; step < 2000; ++step) {
+    const std::string& name = names[rng.index(names.size())];
+    switch (rng.index(3)) {
+      case 0:
+        EXPECT_EQ(set.insert(name), model.insert(name).second);
+        break;
+      case 1:
+        EXPECT_EQ(set.erase(name), model.erase(name));
+        break;
+      default: {
+        analysis::FactSet other;
+        const std::size_t n = rng.index(4);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::string& extra = names[rng.index(names.size())];
+          other.insert(extra);
+          model.insert(extra);
+        }
+        set.merge(other);
+      }
+    }
+    ASSERT_EQ(std::vector<std::string>(set.begin(), set.end()),
+              std::vector<std::string>(model.begin(), model.end()));
+    EXPECT_EQ(set.size(), model.size());
+    EXPECT_EQ(set.count(name), model.count(name));
+  }
+  EXPECT_EQ(analysis::FactSet(model.rbegin(), model.rend()), set);
 }
 
 // -------------------------------------------- checker fixtures --

@@ -236,6 +236,22 @@ TEST(Parser, FindsFunctions) {
   EXPECT_EQ(parsed.functions[1].name, "main");
 }
 
+void expect_same_functions(const std::vector<lang::FunctionInfo>& got,
+                           const std::vector<lang::FunctionInfo>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].signature_line, want[i].signature_line);
+    EXPECT_EQ(got[i].body_begin_line, want[i].body_begin_line);
+    EXPECT_EQ(got[i].body_end_line, want[i].body_end_line);
+  }
+}
+
+TEST(Parser, FindFunctionsOverTokensMatchesParseSource) {
+  expect_same_functions(lang::find_functions(lang::lex(kSampleFile)),
+                        lang::parse_source(kSampleFile).functions);
+}
+
 TEST(Parser, FindsIfStatementsWithExtents) {
   const lang::ParsedFile parsed = lang::parse_source(kSampleFile);
   ASSERT_EQ(parsed.ifs.size(), 3u);
@@ -317,6 +333,7 @@ TEST_P(LangFuzz, LexerAndParserSurviveRandomBytes) {
   for (const auto& fn : parsed.functions) {
     EXPECT_LE(fn.signature_line, fn.body_end_line);
   }
+  expect_same_functions(lang::find_functions(tokens), parsed.functions);
   for (const auto& info : parsed.ifs) {
     EXPECT_LE(info.if_line, info.stmt_end_line);
   }
