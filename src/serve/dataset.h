@@ -1,10 +1,10 @@
 // ServedDataset: the immutable in-memory snapshot patchdbd serves.
-// Loaded once at startup from a sealed v2 export (store::load_patchdb —
-// which verifies the manifest trailer and every per-patch content
-// checksum, so a truncated or tampered dataset is refused before the
-// socket ever opens) and then shared read-only across every worker
-// thread: queries take `const ServedDataset&` and the server never
-// mutates it, so no lock guards the hot path.
+// Loaded once at startup from a sealed v3 export (store::load_patchdb —
+// which verifies the manifest trailer, every segment's length and every
+// per-patch content checksum, so a truncated or tampered dataset is
+// refused before the socket ever opens) and then shared read-only
+// across every worker thread: queries take `const ServedDataset&` and
+// the server never mutates it, so no lock guards the hot path.
 //
 // At load the snapshot precomputes what queries need:
 //   - an id -> patch index over every component,
@@ -49,10 +49,10 @@ struct ServedPatch {
 
 class ServedDataset {
  public:
-  /// Load a sealed v2 export. Propagates store::load_patchdb's
-  /// std::runtime_error on any integrity failure (missing manifest,
-  /// checksum mismatch, malformed rows) — the daemon turns that into a
-  /// refusal to start.
+  /// Load a sealed v3 export. Propagates store::load_patchdb's
+  /// std::runtime_error on any integrity failure (missing manifest or
+  /// segment, checksum mismatch, malformed rows, older format) — the
+  /// daemon turns that into a refusal to start.
   static ServedDataset load(const std::filesystem::path& root);
 
   /// Build a snapshot from in-memory components (tests and the

@@ -79,7 +79,7 @@ std::uint64_t build_fingerprint(const core::BuildOptions& options) {
 
 void write_checkpoint(const fs::path& dir, const core::LoopCheckpoint& checkpoint,
                       std::uint64_t fingerprint) {
-  fs::create_directories(dir);
+  create_directories_durably(dir);
   std::string body(kVersionLine);
   body += '\n';
   body += "fingerprint," + util::to_hex(fingerprint) + '\n';
@@ -108,30 +108,19 @@ void write_checkpoint(const fs::path& dir, const core::LoopCheckpoint& checkpoin
 core::LoopCheckpoint read_checkpoint(const fs::path& dir,
                                      std::uint64_t expected_fingerprint) {
   const std::string sealed = read_file(checkpoint_path(dir));
-  const std::string_view body = strip_checksum_trailer(sealed, "checkpoint.csv");
-  if (body.substr(0, kVersionLine.size()) != kVersionLine ||
-      body.size() <= kVersionLine.size() || body[kVersionLine.size()] != '\n') {
-    corrupt("unsupported version (expected " + std::string(kVersionLine) + ")");
-  }
+  const std::string_view csv = open_sealed(sealed, kVersionLine, "checkpoint.csv",
+                                           "restart the build without --resume");
 
   core::LoopCheckpoint cp;
   bool saw_fingerprint = false;
   bool saw_rounds = false;
-  for (const auto& row : csv_parse(body.substr(kVersionLine.size() + 1))) {
+  for (const auto& row : csv_parse(csv)) {
     if (row.empty() || row[0].empty()) corrupt("empty row");
     const std::string& tag = row[0];
     if (tag == "fingerprint") {
-      if (row.size() != 2 || row[1].size() != 16) corrupt("malformed fingerprint");
       std::uint64_t recorded = 0;
-      for (char c : row[1]) {
-        recorded <<= 4;
-        if (c >= '0' && c <= '9') {
-          recorded |= static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-          recorded |= static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
-          corrupt("malformed fingerprint");
-        }
+      if (row.size() != 2 || !parse_hex64(row[1], recorded)) {
+        corrupt("malformed fingerprint");
       }
       if (expected_fingerprint != kAnyFingerprint &&
           recorded != expected_fingerprint) {
@@ -184,7 +173,7 @@ core::LoopCheckpoint read_checkpoint(const fs::path& dir,
 core::PatchDb build_with_checkpoints(const core::BuildOptions& options) {
   if (options.checkpoint_dir.empty()) return core::build_patchdb(options);
   const fs::path dir = options.checkpoint_dir;
-  fs::create_directories(dir);
+  create_directories_durably(dir);
   const std::uint64_t fingerprint = build_fingerprint(options);
 
   core::BuildHooks hooks;

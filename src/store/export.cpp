@@ -1,16 +1,12 @@
 #include "store/export.h"
 
 #include <stdexcept>
-#include <unordered_map>
 
 #include "diff/parse.h"
 #include "diff/render.h"
 #include "feature/features.h"
-#include "obs/metrics.h"
-#include "store/csv.h"
 #include "store/io.h"
 #include "util/hash.h"
-#include "util/strings.h"
 #include "util/table.h"
 
 namespace patchdb::store {
@@ -19,133 +15,55 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kVersionLine = "#patchdb.store.v2";
-constexpr std::size_t kManifestFields = 9;
-
-std::string manifest_row(const std::string& commit, const std::string& component,
-                         bool is_security, int type, const std::string& repo,
-                         const std::string& origin, int variant,
-                         int modified_after, std::uint64_t checksum) {
-  std::string row;
-  row += csv_escape(commit);
-  row += ',';
-  row += csv_escape(component);
-  row += ',';
-  row += is_security ? "security" : "nonsecurity";
-  row += ',';
-  row += std::to_string(type);
-  row += ',';
-  row += csv_escape(repo);
-  row += ',';
-  row += csv_escape(origin);
-  row += ',';
-  row += std::to_string(variant);
-  row += ',';
-  row += std::to_string(modified_after);
-  row += ',';
-  row += util::to_hex(checksum);
-  row += '\n';
-  return row;
+/// Render `patch` onto the end of its component's segment and add its
+/// manifest row, whose length and checksum cover exactly those bytes.
+void append_patch(const diff::Patch& patch, ManifestRow row, std::string& segment,
+                  std::string& manifest) {
+  const std::size_t offset = segment.size();
+  segment += diff::render_patch(patch);
+  const std::string_view bytes = std::string_view(segment).substr(offset);
+  row.commit = patch.commit;
+  row.length = bytes.size();
+  row.checksum = util::fnv1a64(bytes);
+  manifest += format_manifest_row(row);
 }
 
-/// Write one patch file (atomically) and return its content checksum.
-std::uint64_t write_patch_file(const fs::path& dir, const std::string& commit,
-                               const diff::Patch& patch) {
-  const std::string content = diff::render_patch(patch);
-  atomic_write_file(dir / (commit + ".patch"), content);
-  return util::fnv1a64(content);
-}
-
-/// Write one component's patch files and append its manifest rows and
-/// its features.csv rows; row i's vector is rows[first_row + i].
+/// Append one natural component's rows: its patches to `segment`, its
+/// manifest rows to `manifest` and its features.csv rows to `features`
+/// (row i's vector is rows[first_row + i]).
 void export_records(const std::vector<corpus::CommitRecord>& records,
-                    const char* component, const fs::path& root,
-                    const feature::FeatureMatrix& rows, std::size_t first_row,
-                    std::string& manifest, std::string& features,
-                    ExportStats& stats) {
-  const fs::path dir = root / component;
-  fs::create_directories(dir);
+                    std::size_t component, const feature::FeatureMatrix& rows,
+                    std::size_t first_row, std::string& segment,
+                    std::string& manifest, std::string& features) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     const corpus::CommitRecord& record = records[i];
-    const std::uint64_t checksum =
-        write_patch_file(dir, record.patch.commit, record.patch);
-    manifest += manifest_row(record.patch.commit, component,
-                             record.truth.is_security,
-                             static_cast<int>(record.truth.type), record.repo,
-                             "", 0, 0, checksum);
+    ManifestRow row;
+    row.component = component;
+    row.is_security = record.truth.is_security;
+    row.type = record.truth.type;
+    row.repo = record.repo;
+    append_patch(record.patch, std::move(row), segment, manifest);
     features += record.patch.commit;
     for (double value : rows[first_row + i]) {
       features += ',';
       features += util::format_double(value, 6);
     }
     features += '\n';
-    ++stats.feature_rows;
-    ++stats.patches_written;
   }
-}
-
-[[noreturn]] void malformed(std::size_t row, const std::string& why) {
-  throw std::runtime_error("store: malformed manifest row " +
-                           std::to_string(row) + ": " + why);
-}
-
-/// Commits double as file names; restrict to the hex ids the pipeline
-/// emits so a tampered manifest cannot escape the dataset directory.
-void check_commit_field(std::string_view commit, std::size_t row) {
-  if (commit.empty()) malformed(row, "empty commit");
-  for (char c : commit) {
-    const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!hex) malformed(row, "commit is not lowercase hex");
-  }
-}
-
-corpus::PatchType parse_type_field(std::string_view text, std::size_t row) {
-  const long long value = parse_int_field(text, 1000, "type");
-  const bool security = value >= 1 && value <= static_cast<long long>(
-                                                  corpus::kSecurityTypeCount);
-  const bool nonsecurity =
-      value >= static_cast<long long>(corpus::PatchType::kNewFeature) &&
-      value <= static_cast<long long>(corpus::PatchType::kDefensive);
-  if (!security && !nonsecurity) {
-    malformed(row, "unknown patch type " + std::string(text));
-  }
-  return static_cast<corpus::PatchType>(value);
-}
-
-std::uint64_t parse_checksum_field(std::string_view text, std::size_t row) {
-  if (text.size() != 16) malformed(row, "malformed checksum");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      malformed(row, "malformed checksum");
-    }
-  }
-  return value;
 }
 
 }  // namespace
 
-std::string_view store_version_line() { return kVersionLine; }
-
-std::string manifest_header() {
-  return "commit,component,label,type,repo,origin,variant,modified_after,checksum\n";
-}
-
 ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   ExportStats stats;
   stats.root = root;
-  fs::create_directories(root);
+  create_directories_durably(root);
 
-  std::string manifest(kVersionLine);
+  std::string manifest(store_version_line());
   manifest += '\n';
   manifest += manifest_header();
 
-  std::string features(kVersionLine);
+  std::string features(store_version_line());
   features += '\n';
   features += "commit";
   for (std::string_view name : feature::feature_names()) {
@@ -155,129 +73,84 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   features += '\n';
 
   // features.csv rows for every natural patch, extracted in parallel up
-  // front; the writes below stay serial and in component order, so the
-  // file is byte-identical to a serial extraction.
+  // front; the rows below are appended serially and in component order,
+  // so the file is byte-identical to a serial extraction.
   std::vector<const diff::Patch*> natural;
   natural.reserve(db.nvd_security.size() + db.wild_security.size() +
                   db.nonsecurity.size());
-  for (const auto* component :
-       {&db.nvd_security, &db.wild_security, &db.nonsecurity}) {
+  const std::vector<corpus::CommitRecord>* components[] = {
+      &db.nvd_security, &db.wild_security, &db.nonsecurity};
+  for (const auto* component : components) {
     for (const corpus::CommitRecord& record : *component) {
       natural.push_back(&record.patch);
     }
   }
   const feature::FeatureMatrix rows = feature::extract_all(natural);
-  const std::size_t wild_row = db.nvd_security.size();
-  const std::size_t nonsecurity_row = wild_row + db.wild_security.size();
 
-  export_records(db.nvd_security, "nvd", root, rows, 0, manifest, features,
-                 stats);
-  export_records(db.wild_security, "wild", root, rows, wild_row, manifest,
-                 features, stats);
-  export_records(db.nonsecurity, "nonsecurity", root, rows, nonsecurity_row,
-                 manifest, features, stats);
-
-  const fs::path synth_dir = root / "synthetic";
-  fs::create_directories(synth_dir);
-  for (const synth::SyntheticPatch& s : db.synthetic) {
-    const std::uint64_t checksum =
-        write_patch_file(synth_dir, s.patch.commit, s.patch);
-    manifest += manifest_row(s.patch.commit, "synthetic", s.truth.is_security,
-                             static_cast<int>(s.truth.type), "", s.origin_commit,
-                             static_cast<int>(s.variant), s.modified_after ? 1 : 0,
-                             checksum);
-    ++stats.patches_written;
+  // One segment per component, each written (and synced) before the
+  // next is rendered, so one segment's bytes are in memory at a time.
+  std::size_t first_row = 0;
+  for (std::size_t c = 0; c < std::size(components); ++c) {
+    std::string segment;
+    export_records(*components[c], c, rows, first_row, segment, manifest, features);
+    atomic_write_file(root / segment_name(c), segment);
+    first_row += components[c]->size();
   }
+  stats.feature_rows = first_row;
 
-  // The manifest is the commit point: it lands last, atomically, so an
-  // interrupted export never publishes a manifest naming absent files.
+  std::string segment;
+  for (const synth::SyntheticPatch& s : db.synthetic) {
+    ManifestRow row;
+    row.component = kSyntheticComponent;
+    row.is_security = s.truth.is_security;
+    row.type = s.truth.type;
+    row.origin = s.origin_commit;
+    row.variant = static_cast<int>(s.variant);
+    row.modified_after = s.modified_after;
+    append_patch(s.patch, std::move(row), segment, manifest);
+  }
+  atomic_write_file(root / segment_name(kSyntheticComponent), segment);
+  stats.patches_written = first_row + db.synthetic.size();
+
+  // The manifest is the commit point: it lands last, durably, so an
+  // interrupted export never publishes a manifest naming absent bytes.
   atomic_write_file(root / "features.csv", with_checksum_trailer(std::move(features)));
   atomic_write_file(root / "manifest.csv", with_checksum_trailer(std::move(manifest)));
   return stats;
 }
 
 LoadedPatchDb load_patchdb(const fs::path& root) {
-  const std::string sealed = read_file(root / "manifest.csv");
-  const std::string_view body = strip_checksum_trailer(sealed, "manifest.csv");
-  if (!util::starts_with(body, kVersionLine) ||
-      body.size() <= kVersionLine.size() || body[kVersionLine.size()] != '\n') {
-    throw std::runtime_error("store: unsupported manifest version in " +
-                             root.string() + " (expected " +
-                             std::string(kVersionLine) + ")");
-  }
-  const auto rows = csv_parse(body.substr(kVersionLine.size() + 1));
-  if (rows.empty() ||
-      util::join(rows[0], ",") + "\n" != manifest_header()) {
-    throw std::runtime_error("store: bad manifest header in " + root.string());
-  }
+  const ProblemSink fail = [](const std::string& problem) {
+    throw std::runtime_error(problem);
+  };
+  const std::vector<ManifestRow> rows =
+      parse_manifest(read_file(root / "manifest.csv"), fail);
 
   LoadedPatchDb db;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& fields = rows[i];
-    // Row numbers in errors count the version line and the header.
-    const std::size_t row_no = i + 2;
-    if (fields.size() != kManifestFields) {
-      malformed(row_no, "expected " + std::to_string(kManifestFields) +
-                            " fields, got " + std::to_string(fields.size()));
-    }
-    const std::string& commit = fields[0];
-    check_commit_field(commit, row_no);
-    const std::string& component = fields[1];
-    if (component != "nvd" && component != "wild" && component != "nonsecurity" &&
-        component != "synthetic") {
-      throw std::runtime_error("store: unknown component '" + component + "'");
-    }
-    bool is_security = false;
-    if (fields[2] == "security") {
-      is_security = true;
-    } else if (fields[2] != "nonsecurity") {
-      malformed(row_no, "unknown label '" + fields[2] + "'");
-    }
-    const corpus::PatchType type = parse_type_field(fields[3], row_no);
-    const long long variant = parse_int_field(fields[6], 1000, "variant");
-    if (fields[7] != "0" && fields[7] != "1") {
-      malformed(row_no, "modified_after must be 0 or 1");
-    }
-    const std::uint64_t recorded_checksum = parse_checksum_field(fields[8], row_no);
-
-    const fs::path patch_path = root / component / (commit + ".patch");
-    const std::string content = read_file(patch_path);
-    if (util::fnv1a64(content) != recorded_checksum) {
-      PATCHDB_COUNTER_ADD("store.checksum_failures", 1);
-      throw std::runtime_error("store: checksum mismatch for " +
-                               patch_path.string() +
-                               " (corrupted or truncated patch file)");
-    }
-    diff::Patch patch = diff::parse_patch(content);
-
-    if (component == "synthetic") {
-      if (variant < 1 || variant > static_cast<long long>(synth::kVariantCount)) {
-        malformed(row_no, "unknown synthesis variant " + fields[6]);
-      }
-      synth::SyntheticPatch s;
-      s.patch = std::move(patch);
-      s.truth.is_security = is_security;
-      s.truth.type = type;
-      s.origin_commit = fields[5];
-      s.variant = static_cast<synth::IfVariant>(variant);
-      s.modified_after = fields[7] == "1";
-      db.synthetic.push_back(std::move(s));
-      continue;
-    }
-    if (variant != 0) malformed(row_no, "natural patch with nonzero variant");
-
-    corpus::CommitRecord record;
-    record.patch = std::move(patch);
-    record.truth.is_security = is_security;
-    record.truth.type = type;
-    record.repo = fields[4];
-    if (component == "nvd") {
-      db.nvd_security.push_back(std::move(record));
-    } else if (component == "wild") {
-      db.wild_security.push_back(std::move(record));
-    } else {
-      db.nonsecurity.push_back(std::move(record));
-    }
+  std::vector<corpus::CommitRecord>* natural[] = {
+      &db.nvd_security, &db.wild_security, &db.nonsecurity};
+  for (std::size_t c = 0; c < kComponents.size(); ++c) {
+    walk_segment(root, c, rows, fail,
+                 [&](const ManifestRow& row, std::string_view bytes) {
+                   diff::Patch patch = diff::parse_patch(bytes);
+                   if (c == kSyntheticComponent) {
+                     synth::SyntheticPatch s;
+                     s.patch = std::move(patch);
+                     s.truth.is_security = row.is_security;
+                     s.truth.type = row.type;
+                     s.origin_commit = row.origin;
+                     s.variant = static_cast<synth::IfVariant>(row.variant);
+                     s.modified_after = row.modified_after;
+                     db.synthetic.push_back(std::move(s));
+                     return;
+                   }
+                   corpus::CommitRecord record;
+                   record.patch = std::move(patch);
+                   record.truth.is_security = row.is_security;
+                   record.truth.type = row.type;
+                   record.repo = row.repo;
+                   natural[c]->push_back(std::move(record));
+                 });
   }
   return db;
 }

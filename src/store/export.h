@@ -1,27 +1,33 @@
 // On-disk dataset layout — the release format. A PatchDB export is a
-// directory tree mirroring how the real PatchDB is published (one
-// `.patch` file per commit, grouped by component, plus CSV metadata):
+// directory holding one segment file per component plus CSV metadata
+// (store/layout.h owns the details):
 //
 //   <root>/
+//     nvd.patches              # the component's patches, rendered as
+//     wild.patches             # unified diffs and concatenated in
+//     nonsecurity.patches      # manifest order; each row's bytes are
+//     synthetic.patches        # also a valid standalone .patch file
+//     features.csv             # one row per natural patch: id + 60
+//                              # features; version line + trailer
 //     manifest.csv             # version line, header, one row per patch
 //                              # (id, component, label, type, repo,
-//                              # origin, variant, modified_after,
-//                              # fnv1a64 checksum of the patch file),
+//                              # origin, variant, modified_after, length
+//                              # and fnv1a64 checksum of its bytes),
 //                              # sealed with a checksum trailer
-//     features.csv             # one row per natural patch: id + 60
-//                              # features; same version line + trailer
-//     nvd/<commit>.patch
-//     wild/<commit>.patch
-//     nonsecurity/<commit>.patch
-//     synthetic/<commit>.patch
 //
-// Format v2 (crash-safe store): string fields are CSV-escaped, every
-// file is written atomically (temp + rename) with the manifest last so
-// a killed export never publishes a manifest describing missing files,
-// and loads verify both the manifest's own trailer checksum and each
-// patch file's recorded content checksum. Parsing is strict: malformed
-// numeric fields, unknown labels/components/types, and checksum
-// mismatches all throw instead of loading as garbage.
+// Format v3: a row's offset in its segment is the running sum of the
+// earlier lengths of its component, so the rows tile each segment and
+// any byte they do not cover is corruption. Every file is written
+// durably (temp + fdatasync + rename + directory fsync, see
+// store/io.h), segments first and the manifest last: once
+// export_patchdb returns, the dataset survives process kill, OS crash
+// and power loss, and a crash before the manifest lands leaves no
+// manifest or the previous one. Loads verify the manifest's trailer,
+// every row's length against its segment and every row's checksum.
+// Parsing is strict: malformed fields, unknown labels/components/types,
+// short or over-long segments and checksum mismatches all throw
+// instead of loading as garbage; a v2 (file-per-patch) export throws
+// UnsupportedVersion.
 //
 // Exports round-trip: load_patchdb(export_patchdb(db)) reproduces every
 // patch byte-for-byte (modulo snapshots, which are not exported — they
@@ -30,10 +36,10 @@
 
 #include <filesystem>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/patchdb.h"
+#include "store/layout.h"
 
 namespace patchdb::store {
 
@@ -56,15 +62,11 @@ struct LoadedPatchDb {
   std::vector<synth::SyntheticPatch> synthetic;
 };
 
-/// Read an exported dataset. Throws std::runtime_error when the manifest
-/// is missing, malformed, fails its checksum, or when a listed patch
-/// file is absent, corrupted, or fails to parse.
+/// Read an exported dataset, one segment in memory at a time. Throws
+/// UnsupportedVersion for an older format and std::runtime_error when
+/// the manifest is missing, malformed or fails its checksum, or when a
+/// segment is missing, shorter or longer than its rows, or holds a row
+/// that fails its checksum or does not parse.
 LoadedPatchDb load_patchdb(const std::filesystem::path& root);
-
-/// First line of manifest.csv and features.csv ("#patchdb.store.v2").
-std::string_view store_version_line();
-
-/// Column header of the manifest (exposed for tests).
-std::string manifest_header();
 
 }  // namespace patchdb::store

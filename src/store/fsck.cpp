@@ -1,219 +1,69 @@
 #include "store/fsck.h"
 
-#include <set>
 #include <stdexcept>
 #include <string_view>
 
-#include "corpus/taxonomy.h"
 #include "store/checkpoint.h"
-#include "store/csv.h"
-#include "store/export.h"
 #include "store/io.h"
-#include "synth/variants.h"
-#include "util/hash.h"
+#include "store/layout.h"
 #include "util/strings.h"
 
 namespace patchdb::store {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-constexpr std::string_view kComponents[] = {"nvd", "wild", "nonsecurity",
-                                            "synthetic"};
-
-bool is_hex16(std::string_view text, std::uint64_t& out) {
-  if (text.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  out = value;
-  return true;
-}
-
-bool is_lower_hex(std::string_view text) {
-  if (text.empty()) return false;
-  for (char c : text) {
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-/// Strip trailer + version line of a sealed store document; returns the
-/// CSV payload or records an error.
-bool unseal(const std::string& sealed, std::string_view version_line,
-            const std::string& name, FsckReport& report, std::string_view& csv) {
-  std::string_view body;
-  try {
-    body = strip_checksum_trailer(sealed, name);
-  } catch (const std::exception& e) {
-    report.errors.push_back(e.what());
-    return false;
-  }
-  if (!util::starts_with(body, version_line) ||
-      body.size() <= version_line.size() ||
-      body[version_line.size()] != '\n') {
-    report.errors.push_back(name + ": unsupported or missing version line");
-    return false;
-  }
-  csv = body.substr(version_line.size() + 1);
-  return true;
-}
-
-}  // namespace
-
 FsckReport fsck_dataset(const fs::path& root) {
   FsckReport report;
   report.root = root;
+  const ProblemSink record = [&report](const std::string& problem) {
+    report.errors.push_back(problem);
+  };
 
-  std::string sealed;
+  std::vector<ManifestRow> rows;
   try {
-    sealed = read_file(root / "manifest.csv");
-  } catch (const std::exception& e) {
-    report.errors.push_back(e.what());
-    return report;
-  }
-  ++report.files_checked;
-  report.bytes_checked += sealed.size();
-
-  std::string_view csv;
-  if (!unseal(sealed, store_version_line(), "manifest.csv", report, csv)) {
-    return report;
-  }
-  std::vector<std::vector<std::string>> rows;
-  try {
-    rows = csv_parse(csv);
-  } catch (const std::exception& e) {
-    report.errors.push_back(std::string("manifest.csv: ") + e.what());
-    return report;
-  }
-  if (rows.empty() || util::join(rows[0], ",") + "\n" != manifest_header()) {
-    report.errors.push_back("manifest.csv: bad header");
-    return report;
-  }
-
-  std::set<std::pair<std::string, std::string>> listed;  // (component, commit)
-  std::size_t natural_rows = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& fields = rows[i];
-    const std::string where = "manifest.csv row " + std::to_string(i + 2);
-    ++report.manifest_rows;
-    if (fields.size() != 9) {
-      report.errors.push_back(where + ": expected 9 fields, got " +
-                              std::to_string(fields.size()));
-      continue;
-    }
-    const std::string& commit = fields[0];
-    const std::string& component = fields[1];
-    bool row_ok = true;
-    if (!is_lower_hex(commit)) {
-      report.errors.push_back(where + ": commit is not lowercase hex");
-      row_ok = false;
-    }
-    bool component_ok = false;
-    for (std::string_view known : kComponents) component_ok |= component == known;
-    if (!component_ok) {
-      report.errors.push_back(where + ": unknown component '" + component + "'");
-      row_ok = false;
-    }
-    if (fields[2] != "security" && fields[2] != "nonsecurity") {
-      report.errors.push_back(where + ": unknown label '" + fields[2] + "'");
-    }
-    try {
-      const long long type = parse_int_field(fields[3], 1000, "type");
-      const bool known =
-          (type >= 1 && type <= static_cast<long long>(corpus::kSecurityTypeCount)) ||
-          (type >= static_cast<long long>(corpus::PatchType::kNewFeature) &&
-           type <= static_cast<long long>(corpus::PatchType::kDefensive));
-      if (!known) {
-        report.errors.push_back(where + ": unknown patch type " + fields[3]);
-      }
-      const long long variant = parse_int_field(fields[6], 1000, "variant");
-      if (component == "synthetic"
-              ? (variant < 1 || variant > static_cast<long long>(synth::kVariantCount))
-              : variant != 0) {
-        report.errors.push_back(where + ": bad variant " + fields[6]);
-      }
-    } catch (const std::exception& e) {
-      report.errors.push_back(where + ": " + e.what());
-    }
-    if (fields[7] != "0" && fields[7] != "1") {
-      report.errors.push_back(where + ": modified_after must be 0 or 1");
-    }
-    std::uint64_t recorded = 0;
-    if (!is_hex16(fields[8], recorded)) {
-      report.errors.push_back(where + ": malformed checksum");
-      row_ok = false;
-    }
-    if (!row_ok) continue;
-    if (component != "synthetic") ++natural_rows;
-    if (!listed.emplace(component, commit).second) {
-      report.errors.push_back(where + ": duplicate entry " + component + "/" +
-                              commit);
-      continue;
-    }
-
-    const fs::path patch_path = root / component / (commit + ".patch");
-    std::string content;
-    try {
-      content = read_file(patch_path);
-    } catch (const std::exception& e) {
-      report.errors.push_back(e.what());
-      continue;
-    }
+    const std::string sealed = read_file(root / "manifest.csv");
     ++report.files_checked;
-    report.bytes_checked += content.size();
-    if (util::fnv1a64(content) != recorded) {
-      report.errors.push_back(where + ": checksum mismatch for " +
-                              patch_path.string() +
-                              " (corrupted or truncated patch file)");
-    }
+    report.bytes_checked += sealed.size();
+    rows = parse_manifest(sealed, [&](const std::string& problem) {
+      ++report.manifest_rows;
+      record(problem);
+    });
+  } catch (const std::exception& e) {
+    record(e.what());
+    return report;
   }
+  report.manifest_rows += rows.size();
 
-  // Orphans: patch files on disk the manifest does not describe.
-  for (std::string_view component : kComponents) {
-    const fs::path dir = root / component;
-    if (!fs::is_directory(dir)) continue;
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-      const fs::path& p = entry.path();
-      if (p.extension() != ".patch") continue;
-      if (!listed.count({std::string(component), p.stem().string()})) {
-        report.errors.push_back("orphaned patch file " + p.string());
-      }
-    }
+  // Every segment must exist and be tiled exactly by its rows: a short
+  // segment is torn, uncovered bytes are the v3 form of an orphan.
+  for (std::size_t c = 0; c < kComponents.size(); ++c) {
+    const std::optional<std::size_t> bytes =
+        walk_segment(root, c, rows, record, [](const ManifestRow&, std::string_view) {});
+    if (!bytes) continue;
+    ++report.files_checked;
+    report.bytes_checked += *bytes;
   }
 
   // features.csv: sealed, versioned, one row per natural patch.
-  std::string features;
+  std::size_t natural_rows = 0;
+  for (const ManifestRow& row : rows) natural_rows += row.component != kSyntheticComponent;
   try {
-    features = read_file(root / "features.csv");
-  } catch (const std::exception& e) {
-    report.errors.push_back(e.what());
-    return report;
-  }
-  ++report.files_checked;
-  report.bytes_checked += features.size();
-  std::string_view features_csv;
-  if (unseal(features, store_version_line(), "features.csv", report,
-             features_csv)) {
+    const std::string features = read_file(root / "features.csv");
+    ++report.files_checked;
+    report.bytes_checked += features.size();
+    const std::string_view csv = open_sealed(features, store_version_line(),
+                                             "features.csv", "re-export the dataset");
     std::size_t feature_rows = 0;
-    for (std::string_view line : util::split_lines(features_csv)) {
+    for (std::string_view line : util::split_lines(csv)) {
       if (!line.empty()) ++feature_rows;
     }
     if (feature_rows != natural_rows + 1) {  // + header
-      report.errors.push_back(
-          "features.csv: expected " + std::to_string(natural_rows) +
-          " feature rows, found " +
-          std::to_string(feature_rows == 0 ? 0 : feature_rows - 1));
+      record("features.csv: expected " + std::to_string(natural_rows) +
+             " feature rows, found " +
+             std::to_string(feature_rows == 0 ? 0 : feature_rows - 1));
     }
+  } catch (const std::exception& e) {
+    record(e.what());
   }
   return report;
 }

@@ -2,8 +2,9 @@
 // directories — the `patchdb fsck` subcommand. Unlike load_patchdb
 // (which throws at the first problem), fsck walks the whole tree and
 // collects every issue: manifest/features trailer checksums, strict row
-// parsing, per-patch content checksums, missing and orphaned patch
-// files, feature-row counts, and checkpoint validity.
+// parsing, per-patch content checksums, missing or short segments,
+// segment bytes no manifest row covers, feature-row counts, and
+// checkpoint validity.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,14 @@
 #include "store/io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
-#include <fstream>
-#include <mutex>
+#include <cerrno>
+#include <cstring>
 #include <system_error>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/hash.h"
@@ -19,16 +24,130 @@ constexpr std::size_t kHexDigits = 16;
 // Tag + 16 hex digits + newline.
 constexpr std::size_t kTrailerSize = kTrailerTag.size() + kHexDigits + 1;
 
-std::mutex g_fault_mutex;
-FaultPlan g_fault_plan;
+std::atomic<std::size_t> g_fail_write{FaultPlan::kNever};
+std::atomic<bool> g_fail_truncate{false};
 std::atomic<std::size_t> g_write_index{0};
 
-void raw_write(const fs::path& path, std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("store: cannot open " + path.string());
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  if (!out) throw std::runtime_error("store: short write to " + path.string());
+[[noreturn]] void io_error(const char* op, const fs::path& path) {
+  throw std::runtime_error(std::string("store: ") + op + " " + path.string() +
+                           ": " + std::strerror(errno));
+}
+
+/// An fd that is closed on every path; close() reports its own error
+/// because a failed close can be the first sign of a lost write.
+class Fd {
+ public:
+  Fd(const fs::path& path, int flags, const char* op) : path_(path) {
+    do {
+      fd_ = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
+    } while (fd_ < 0 && errno == EINTR);
+    if (fd_ < 0) io_error(op, path);
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  int get() const noexcept { return fd_; }
+  void close() {
+    const int fd = fd_;
+    fd_ = -1;
+    if (::close(fd) != 0) io_error("cannot close", path_);
+  }
+
+ private:
+  fs::path path_;
+  int fd_ = -1;
+};
+
+void write_all(const Fd& fd, const fs::path& path, std::string_view content) {
+  while (!content.empty()) {
+    const ssize_t n = ::write(fd.get(), content.data(), content.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      io_error("cannot write", path);
+    }
+    content.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
+void sync_directory(const fs::path& dir) {
+  Fd fd(dir.empty() ? fs::path(".") : dir, O_RDONLY | O_DIRECTORY,
+        "cannot open directory");
+  if (::fsync(fd.get()) != 0) io_error("cannot fsync directory", dir);
+  fd.close();
+}
+
+}  // namespace
+
+void set_fault_plan(const FaultPlan& plan) noexcept {
+  g_fail_truncate.store(plan.truncate);
+  g_fail_write.store(plan.fail_write);
+  g_write_index.store(0);
+}
+
+void clear_fault_plan() noexcept { set_fault_plan(FaultPlan{}); }
+
+std::size_t fault_write_count() noexcept { return g_write_index.load(); }
+
+std::string read_file(const fs::path& path) {
+  Fd fd(path, O_RDONLY, "cannot read");
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) io_error("cannot stat", path);
+  std::string content(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < content.size()) {
+    const ssize_t n = ::read(fd.get(), content.data() + got, content.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      io_error("cannot read", path);
+    }
+    if (n == 0) break;  // shrank since fstat: return what is there
+    got += static_cast<std::size_t>(n);
+  }
+  content.resize(got);
+  return content;
+}
+
+void atomic_write_file(const fs::path& path, std::string_view content) {
+  const std::size_t index = g_write_index.fetch_add(1);
+  if (index == g_fail_write.load()) {
+    if (g_fail_truncate.load()) {
+      // A torn, non-atomic writer: half the bytes land at the final
+      // path. Readers must reject this via checksums and lengths.
+      Fd out(path, O_WRONLY | O_CREAT | O_TRUNC, "cannot open");
+      write_all(out, path, content.substr(0, content.size() / 2));
+      out.close();
+    }
+    throw FaultInjected("store: injected fault at write " +
+                        std::to_string(index) + " (" + path.string() + ")");
+  }
+
+  fs::path tmp = path;
+  tmp += ".tmp";
+  try {
+    Fd out(tmp, O_WRONLY | O_CREAT | O_TRUNC, "cannot open");
+    write_all(out, tmp, content);
+    if (::fdatasync(out.get()) != 0) io_error("cannot fdatasync", tmp);
+    out.close();
+    if (::rename(tmp.c_str(), path.c_str()) != 0) io_error("cannot rename into", path);
+  } catch (...) {
+    std::error_code ec;
+    fs::remove(tmp, ec);
+    throw;
+  }
+  sync_directory(path.parent_path());
+  PATCHDB_COUNTER_ADD("store.writes", 1);
+  PATCHDB_COUNTER_ADD("store.bytes", content.size());
+}
+
+void create_directories_durably(const fs::path& dir) {
+  std::vector<fs::path> missing;
+  for (fs::path p = dir; !p.empty() && !fs::exists(p); p = p.parent_path()) {
+    missing.push_back(p);
+  }
+  fs::create_directories(dir);
+  for (const fs::path& created : missing) sync_directory(created.parent_path());
 }
 
 bool parse_hex64(std::string_view text, std::uint64_t& out) {
@@ -46,60 +165,6 @@ bool parse_hex64(std::string_view text, std::uint64_t& out) {
   }
   out = value;
   return true;
-}
-
-}  // namespace
-
-void set_fault_plan(const FaultPlan& plan) noexcept {
-  std::lock_guard lock(g_fault_mutex);
-  g_fault_plan = plan;
-  g_write_index.store(0, std::memory_order_relaxed);
-}
-
-void clear_fault_plan() noexcept {
-  std::lock_guard lock(g_fault_mutex);
-  g_fault_plan = FaultPlan{};
-  g_write_index.store(0, std::memory_order_relaxed);
-}
-
-std::size_t fault_write_count() noexcept {
-  return g_write_index.load(std::memory_order_relaxed);
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("store: cannot read " + path.string());
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void atomic_write_file(const fs::path& path, std::string_view content) {
-  const std::size_t index = g_write_index.fetch_add(1, std::memory_order_relaxed);
-  FaultPlan plan;
-  {
-    std::lock_guard lock(g_fault_mutex);
-    plan = g_fault_plan;
-  }
-  if (index == plan.fail_write) {
-    if (plan.truncate) {
-      // A torn, non-atomic writer: half the bytes land at the final
-      // path. Readers must reject this via the checksum trailer.
-      raw_write(path, content.substr(0, content.size() / 2));
-    }
-    throw FaultInjected("store: injected fault at write " +
-                        std::to_string(index) + " (" + path.string() + ")");
-  }
-
-  fs::path tmp = path;
-  tmp += ".tmp";
-  raw_write(tmp, content);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw std::runtime_error("store: cannot rename into " + path.string());
-  }
-  PATCHDB_COUNTER_ADD("store.writes", 1);
-  PATCHDB_COUNTER_ADD("store.bytes", content.size());
 }
 
 std::string with_checksum_trailer(std::string body) {
@@ -136,6 +201,18 @@ std::string_view strip_checksum_trailer(std::string_view sealed,
     return fail("checksum mismatch (corrupted or truncated file)");
   }
   return body;
+}
+
+std::string_view open_sealed(std::string_view sealed, std::string_view version_line,
+                             const std::string& what, std::string_view remedy) {
+  const std::string_view body = strip_checksum_trailer(sealed, what);
+  if (body.substr(0, version_line.size()) != version_line ||
+      body.size() <= version_line.size() || body[version_line.size()] != '\n') {
+    throw UnsupportedVersion("store: " + what + ": unsupported version (expected " +
+                             std::string(version_line) + "); " +
+                             std::string(remedy));
+  }
+  return body.substr(version_line.size() + 1);
 }
 
 }  // namespace patchdb::store

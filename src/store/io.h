@@ -1,9 +1,12 @@
-// Crash-safe file I/O for the store: every file is written to a
-// temporary sibling and atomically renamed into place, so a killed
-// export or checkpoint never leaves a half-written file at its final
-// path. Documents that must be tamper-evident (manifest, features,
-// checkpoints) are "sealed" with a trailing FNV-1a checksum line that
-// readers verify before parsing.
+// Durable file I/O for the store: every file is written to a temporary
+// sibling, flushed to stable storage, atomically renamed into place,
+// and the rename itself is made durable by syncing the parent
+// directory. Once atomic_write_file returns, the file survives process
+// kill, OS crash and power loss; a crash before it returns leaves the
+// previous file (or none) at the final path, never a half-written one.
+// Documents that must be tamper-evident (manifest, features,
+// checkpoints) are "sealed" with a version line and a trailing FNV-1a
+// checksum line that readers verify before parsing.
 //
 // A fault-injection hook covers the whole write path for the kill-point
 // tests: fail the Nth write before it commits (simulating a crash
@@ -29,6 +32,14 @@ class FaultInjected : public std::runtime_error {
   explicit FaultInjected(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Thrown when a sealed document carries another format's version line
+/// (an export or checkpoint written by an older release). Such files
+/// are refused, never reinterpreted; the remedy is to re-create them.
+class UnsupportedVersion : public std::runtime_error {
+ public:
+  explicit UnsupportedVersion(const std::string& what) : std::runtime_error(what) {}
+};
+
 /// Test hook: make the Nth atomic_write_file call fail. With
 /// `truncate` the faulting write leaves half the content at the
 /// destination (a torn, non-atomic write); without it the destination
@@ -48,12 +59,22 @@ void clear_fault_plan() noexcept;
 /// sweeping every kill point).
 std::size_t fault_write_count() noexcept;
 
-/// Read a whole file; throws std::runtime_error when unreadable.
+/// Read a whole file with one sized read; throws std::runtime_error
+/// when it cannot be opened or read.
 std::string read_file(const std::filesystem::path& path);
 
-/// Write-to-temp + rename. Throws std::runtime_error on I/O failure and
-/// FaultInjected when the armed fault plan fires.
+/// Write-to-temp, fdatasync, rename, fsync the parent directory.
+/// Throws std::runtime_error on any I/O failure and FaultInjected when
+/// the armed fault plan fires.
 void atomic_write_file(const std::filesystem::path& path, std::string_view content);
+
+/// create_directories, then fsync the parent of every directory it
+/// created so the new entries survive power loss too.
+void create_directories_durably(const std::filesystem::path& dir);
+
+/// Parse exactly 16 lowercase hex digits (the store's checksum
+/// spelling). Returns false on any other input.
+bool parse_hex64(std::string_view text, std::uint64_t& out);
 
 /// Append the checksum trailer line ("#fnv1a64 <16 hex>\n") covering
 /// every preceding byte. A missing final newline is added first so the
@@ -66,5 +87,11 @@ std::string with_checksum_trailer(std::string body);
 /// or truncated byte anywhere in the document.
 std::string_view strip_checksum_trailer(std::string_view sealed,
                                         const std::string& what);
+
+/// strip_checksum_trailer, then require `version_line` as the first
+/// line and return what follows it. A different version line throws
+/// UnsupportedVersion naming `remedy` ("re-export the dataset").
+std::string_view open_sealed(std::string_view sealed, std::string_view version_line,
+                             const std::string& what, std::string_view remedy);
 
 }  // namespace patchdb::store

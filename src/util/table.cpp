@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -97,9 +98,14 @@ std::string Table::to_csv() const {
 }
 
 std::string format_double(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
+  // to_chars is specified to print as printf("%.*f") does in the C
+  // locale, several times faster; an export formats one value per
+  // feature of every natural patch into features.csv.
+  char buf[512];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                       std::chars_format::fixed, decimals);
+  if (ec != std::errc{}) throw std::length_error("format_double: value too long");
+  return std::string(buf, end);
 }
 
 std::string format_percent(double fraction, int decimals) {

@@ -17,11 +17,16 @@
 #include "store/export.h"
 #include "store/fsck.h"
 #include "store/io.h"
+#include "store_tamper.h"
 
 namespace patchdb {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_store::kLengthColumn;
+using testing_store::overwrite;
+using testing_store::segment_path;
+using testing_store::set_manifest_field;
 
 core::BuildOptions small_options() {
   core::BuildOptions options;
@@ -207,25 +212,39 @@ TEST_F(CheckpointTest, KillPointSweepResumesBitIdentical) {
   }
 }
 
-// A crash mid-export must never publish a manifest describing files that
-// are not there: the manifest is written last, so re-running the export
-// heals the directory.
+// A crash mid-export must never publish a manifest describing bytes
+// that are not there: the manifest is written last, so a kill at any of
+// the export's writes leaves no manifest (fresh directory) or the
+// previous complete one, and re-running the export heals the directory.
 TEST_F(CheckpointTest, KilledExportLeavesNoManifestAndRetrySucceeds) {
   const core::PatchDb db = core::build_patchdb(small_options());
   store::clear_fault_plan();
   store::export_patchdb(db, dir("good"));
   const std::size_t export_writes = store::fault_write_count();
-  ASSERT_GT(export_writes, 2u);
+  // One write per segment, then features.csv, then the manifest.
+  ASSERT_EQ(export_writes, store::kComponents.size() + 2);
+  const auto want = dir_contents(dir("good"));
 
-  store::FaultPlan plan;
-  plan.fail_write = export_writes / 2;  // die among the patch files
-  store::set_fault_plan(plan);
-  EXPECT_THROW(store::export_patchdb(db, dir("killed")), store::FaultInjected);
-  store::clear_fault_plan();
-  EXPECT_FALSE(fs::exists(dir("killed") / "manifest.csv"));
+  for (std::size_t k = 0; k < export_writes; ++k) {
+    const fs::path killed = dir("killed" + std::to_string(k));
+    store::FaultPlan plan;
+    plan.fail_write = k;
+    store::set_fault_plan(plan);
+    EXPECT_THROW(store::export_patchdb(db, killed), store::FaultInjected) << k;
+    store::clear_fault_plan();
+    EXPECT_FALSE(fs::exists(killed / "manifest.csv")) << "kill point " << k;
 
-  store::export_patchdb(db, dir("killed"));
-  EXPECT_EQ(dir_contents(dir("killed")), dir_contents(dir("good")));
+    store::export_patchdb(db, killed);
+    EXPECT_EQ(dir_contents(killed), want) << "retry after kill point " << k;
+
+    // Killed again over a complete export: the previous manifest stays
+    // and still describes every byte.
+    store::set_fault_plan(plan);
+    EXPECT_THROW(store::export_patchdb(db, killed), store::FaultInjected) << k;
+    store::clear_fault_plan();
+    EXPECT_EQ(dir_contents(killed), want) << "second kill at point " << k;
+    EXPECT_TRUE(store::fsck(killed).ok()) << "second kill at point " << k;
+  }
 }
 
 TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
@@ -283,8 +302,8 @@ TEST_F(CheckpointTest, FsckAcceptsCleanDatasetAndCheckpoint) {
   EXPECT_EQ(dataset.manifest_rows, db.nvd_security.size() +
                                        db.wild_security.size() +
                                        db.nonsecurity.size() + db.synthetic.size());
-  // manifest + features + one file per patch.
-  EXPECT_EQ(dataset.files_checked, dataset.manifest_rows + 2);
+  // manifest + features + one segment per component.
+  EXPECT_EQ(dataset.files_checked, store::kComponents.size() + 2);
   EXPECT_GT(dataset.bytes_checked, 0u);
 
   const store::FsckReport checkpoint = store::fsck(dir("ckpt"));
@@ -301,42 +320,97 @@ TEST_F(CheckpointTest, FsckFlagsFlippedBytesTruncationAndOrphans) {
   store::export_patchdb(db, dir("out"));
   ASSERT_TRUE(store::fsck(dir("out")).ok());
 
-  // Flip one bit inside a patch file: content checksum catches it.
-  const fs::path victim =
-      dir("out") / "nvd" / (db.nvd_security[0].patch.commit + ".patch");
+  // Flip one bit inside the first NVD row: its checksum catches it and
+  // the error names the commit.
+  const fs::path victim = segment_path(dir("out"), 0);
   const std::string original = store::read_file(victim);
   std::string corrupt = original;
-  corrupt[corrupt.size() / 2] ^= 0x01;
-  std::ofstream(victim, std::ios::binary) << corrupt;
+  corrupt[10] ^= 0x01;
+  overwrite(victim, corrupt);
   store::FsckReport report = store::fsck(dir("out"));
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors[0].find("checksum mismatch"), std::string::npos);
-  std::ofstream(victim, std::ios::binary) << original;
+  EXPECT_NE(report.errors[0].find(db.nvd_security[0].patch.commit),
+            std::string::npos)
+      << report.errors[0];
+  overwrite(victim, original);
 
-  // Truncate the patch file instead.
-  std::ofstream(victim, std::ios::binary)
-      << original.substr(0, original.size() / 2);
+  // Truncate the segment instead.
+  overwrite(victim, original.substr(0, original.size() / 2));
   report = store::fsck(dir("out"));
   EXPECT_FALSE(report.ok());
-  std::ofstream(victim, std::ios::binary) << original;
+  overwrite(victim, original);
 
   // Flip a byte in the sealed manifest: the trailer catches it.
   const fs::path manifest = dir("out") / "manifest.csv";
   const std::string good_manifest = store::read_file(manifest);
   std::string bad_manifest = good_manifest;
   bad_manifest[bad_manifest.size() / 3] ^= 0x01;
-  std::ofstream(manifest, std::ios::binary) << bad_manifest;
+  overwrite(manifest, bad_manifest);
   report = store::fsck(dir("out"));
   EXPECT_FALSE(report.ok());
-  std::ofstream(manifest, std::ios::binary) << good_manifest;
+  overwrite(manifest, good_manifest);
+  ASSERT_TRUE(store::fsck(dir("out")).ok());
 
-  // A patch file the manifest does not describe is an orphan.
-  std::ofstream(dir("out") / "wild" / "0123456789abcdef.patch",
-                std::ios::binary)
-      << "stray\n";
+  // Segment bytes no manifest row covers are the v3 orphan.
+  const fs::path wild = segment_path(dir("out"), 1);
+  overwrite(wild, store::read_file(wild) + "stray\n");
   report = store::fsck(dir("out"));
   ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.errors[0].find("orphaned"), std::string::npos);
+  EXPECT_NE(report.errors[0].find("not covered by the manifest"), std::string::npos)
+      << report.errors[0];
+}
+
+/// fsck must flag the damage with an error holding `needle`.
+void expect_fsck_error(const fs::path& root, const std::string& needle) {
+  const store::FsckReport report = store::fsck(root);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.errors[0].find(needle), std::string::npos) << report.errors[0];
+}
+
+TEST_F(CheckpointTest, FsckFlagsLengthPastEndOfSegment) {
+  const core::PatchDb db = core::build_patchdb(small_options());
+  store::export_patchdb(db, dir("out"));
+  const std::string& commit = db.nonsecurity.back().patch.commit;
+  const std::size_t size = fs::file_size(segment_path(dir("out"), 2));
+  set_manifest_field(dir("out"), commit, kLengthColumn, std::to_string(size + 1));
+  expect_fsck_error(dir("out"), "nonsecurity.patches is short");
+}
+
+TEST_F(CheckpointTest, FsckFlagsLengthOfTwoToThe63) {
+  const core::PatchDb db = core::build_patchdb(small_options());
+  store::export_patchdb(db, dir("out"));
+  set_manifest_field(dir("out"), db.wild_security[0].patch.commit, kLengthColumn,
+                     "9223372036854775808");
+  expect_fsck_error(dir("out"), "length field out of range");
+}
+
+TEST_F(CheckpointTest, FsckFlagsMissingSegment) {
+  store::export_patchdb(core::build_patchdb(small_options()), dir("out"));
+  fs::remove(segment_path(dir("out"), 0));
+  expect_fsck_error(dir("out"), "missing or unreadable segment nvd.patches");
+  EXPECT_EQ(store::fsck(dir("out")).files_checked, store::kComponents.size() + 1);
+}
+
+TEST_F(CheckpointTest, FsckFlagsTornSegment) {
+  const core::PatchDb db = core::build_patchdb(small_options());
+  store::export_patchdb(db, dir("out"));
+  // The synthetic segment write tears during a re-export that dies.
+  store::FaultPlan plan;
+  plan.fail_write = store::kSyntheticComponent;
+  plan.truncate = true;
+  store::set_fault_plan(plan);
+  EXPECT_THROW(store::export_patchdb(db, dir("out")), store::FaultInjected);
+  store::clear_fault_plan();
+  expect_fsck_error(dir("out"), "synthetic.patches is short");
+}
+
+TEST_F(CheckpointTest, FsckRefusesV2Manifest) {
+  fs::create_directories(dir("out"));
+  std::string body = "#patchdb.store.v2\n";
+  body += "commit,component,label,type,repo,origin,variant,modified_after,checksum\n";
+  overwrite(dir("out") / "manifest.csv", store::with_checksum_trailer(std::move(body)));
+  expect_fsck_error(dir("out"), "unsupported version");
 }
 
 TEST_F(CheckpointTest, StoreCountersTrackWritesAndResumes) {

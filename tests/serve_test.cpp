@@ -755,13 +755,9 @@ TEST_F(ServeStoreTest, TruncatedManifestIsRefusedAtStartup) {
 }
 
 TEST_F(ServeStoreTest, CorruptedPatchContentIsRefusedAtStartup) {
-  // Flip one byte inside an exported patch file.
-  fs::path victim;
-  for (const auto& entry : fs::directory_iterator(root_ / "nvd")) {
-    victim = entry.path();
-    break;
-  }
-  ASSERT_FALSE(victim.empty());
+  // Flip one byte inside the first exported NVD patch.
+  const fs::path victim = root_ / "nvd.patches";
+  ASSERT_TRUE(fs::exists(victim));
   std::fstream file(victim,
                     std::ios::in | std::ios::out | std::ios::binary);
   file.seekp(10);

@@ -1,6 +1,7 @@
 // Tests for the on-disk dataset layout: export/load round trips, layout
 // contents, strict manifest parsing, and failure handling for corrupted
-// exports (flipped bytes, truncated files, tampered manifests).
+// exports (flipped bytes, truncated or torn segments, uncovered segment
+// bytes, tampered lengths and manifests, older formats).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,11 +12,16 @@
 #include "store/csv.h"
 #include "store/export.h"
 #include "store/io.h"
+#include "store_tamper.h"
 
 namespace patchdb {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_store::kLengthColumn;
+using testing_store::overwrite;
+using testing_store::segment_path;
+using testing_store::set_manifest_field;
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -38,7 +44,7 @@ class StoreTest : public ::testing::Test {
     return core::build_patchdb(options);
   }
 
-  /// A properly sealed v2 manifest holding `rows` (so tests exercise row
+  /// A properly sealed manifest holding `rows` (so tests exercise row
   /// validation, not just the checksum trailer).
   void write_sealed_manifest(const std::string& rows) {
     fs::create_directories(root_);
@@ -57,12 +63,15 @@ TEST_F(StoreTest, ExportWritesLayout) {
   const core::PatchDb db = small_db();
   const store::ExportStats stats = store::export_patchdb(db, root_);
 
+  // Four segments plus the two sealed documents, and nothing else.
+  std::size_t files = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(root_)) {
+    EXPECT_TRUE(entry.is_regular_file()) << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, store::kComponents.size() + 2);
   EXPECT_TRUE(fs::exists(root_ / "manifest.csv"));
   EXPECT_TRUE(fs::exists(root_ / "features.csv"));
-  EXPECT_TRUE(fs::exists(root_ / "nvd"));
-  EXPECT_TRUE(fs::exists(root_ / "wild"));
-  EXPECT_TRUE(fs::exists(root_ / "nonsecurity"));
-  EXPECT_TRUE(fs::exists(root_ / "synthetic"));
 
   const std::size_t expected = db.nvd_security.size() + db.wild_security.size() +
                                db.nonsecurity.size() + db.synthetic.size();
@@ -70,12 +79,18 @@ TEST_F(StoreTest, ExportWritesLayout) {
   EXPECT_EQ(stats.feature_rows,
             expected - db.synthetic.size());  // features for natural only
 
-  // Every NVD patch file exists and is non-empty.
-  for (const corpus::CommitRecord& r : db.nvd_security) {
-    const fs::path p = root_ / "nvd" / (r.patch.commit + ".patch");
-    ASSERT_TRUE(fs::exists(p)) << p;
-    EXPECT_GT(fs::file_size(p), 0u);
+  // Each segment is its component's rendered patches, concatenated in
+  // manifest order.
+  const std::vector<corpus::CommitRecord>* natural[] = {
+      &db.nvd_security, &db.wild_security, &db.nonsecurity};
+  for (std::size_t c = 0; c < std::size(natural); ++c) {
+    std::string want;
+    for (const corpus::CommitRecord& r : *natural[c]) want += diff::render_patch(r.patch);
+    EXPECT_EQ(store::read_file(segment_path(root_, c)), want) << store::kComponents[c];
   }
+  std::string synthetic;
+  for (const synth::SyntheticPatch& s : db.synthetic) synthetic += diff::render_patch(s.patch);
+  EXPECT_EQ(store::read_file(segment_path(root_, store::kSyntheticComponent)), synthetic);
 }
 
 TEST_F(StoreTest, RoundTripPreservesEverything) {
@@ -205,25 +220,32 @@ TEST_F(StoreTest, LoadRejectsGarbageFields) {
   } cases[] = {
       // std::atoi would have read "7x" as 7 and loaded the row.
       {"trailing garbage in type",
-       "deadbeef,nvd,security,7x,repo,,0,0,0123456789abcdef\n"},
+       "deadbeef,nvd,security,7x,repo,,0,0,0,0123456789abcdef\n"},
       {"case-sensitive label",
-       "deadbeef,nvd,Security,1,repo,,0,0,0123456789abcdef\n"},
+       "deadbeef,nvd,Security,1,repo,,0,0,0,0123456789abcdef\n"},
       {"non-numeric variant",
-       "deadbeef,synthetic,security,1,,beef,x,0,0123456789abcdef\n"},
+       "deadbeef,synthetic,security,1,,beef,x,0,0,0123456789abcdef\n"},
       {"out-of-range synthesis variant",
-       "deadbeef,synthetic,security,1,,beef,99,0,0123456789abcdef\n"},
+       "deadbeef,synthetic,security,1,,beef,99,0,0,0123456789abcdef\n"},
       {"natural patch with nonzero variant",
-       "deadbeef,nvd,security,1,repo,,3,0,0123456789abcdef\n"},
+       "deadbeef,nvd,security,1,repo,,3,0,0,0123456789abcdef\n"},
       {"modified_after out of range",
-       "deadbeef,nvd,security,1,repo,,0,2,0123456789abcdef\n"},
+       "deadbeef,nvd,security,1,repo,,0,2,0,0123456789abcdef\n"},
       {"unknown patch type",
-       "deadbeef,nvd,security,55,repo,,0,0,0123456789abcdef\n"},
+       "deadbeef,nvd,security,55,repo,,0,0,0,0123456789abcdef\n"},
       // Commits double as file names; a traversal must not leave root.
       {"commit with path traversal",
-       "../../etc/passwd,nvd,security,1,repo,,0,0,0123456789abcdef\n"},
+       "../../etc/passwd,nvd,security,1,repo,,0,0,0,0123456789abcdef\n"},
       {"uppercase commit",
-       "DEADBEEF,nvd,security,1,repo,,0,0,0123456789abcdef\n"},
-      {"short checksum", "deadbeef,nvd,security,1,repo,,0,0,0123\n"},
+       "DEADBEEF,nvd,security,1,repo,,0,0,0,0123456789abcdef\n"},
+      {"short checksum", "deadbeef,nvd,security,1,repo,,0,0,0,0123\n"},
+      {"negative length",
+       "deadbeef,nvd,security,1,repo,,0,0,-1,0123456789abcdef\n"},
+      {"non-numeric length",
+       "deadbeef,nvd,security,1,repo,,0,0,12k,0123456789abcdef\n"},
+      {"duplicate row",
+       "deadbeef,nvd,security,1,repo,,0,0,0,0123456789abcdef\n"
+       "deadbeef,nvd,security,1,repo,,0,0,0,0123456789abcdef\n"},
   };
   for (const auto& c : cases) {
     fs::remove_all(root_);
@@ -233,8 +255,8 @@ TEST_F(StoreTest, LoadRejectsGarbageFields) {
 }
 
 TEST_F(StoreTest, LoadMissingPatchFileThrows) {
-  fs::create_directories(root_ / "nvd");
-  write_sealed_manifest("deadbeef,nvd,security,1,repo,,0,0,0123456789abcdef\n");
+  // The row's bytes would live in nvd.patches, which does not exist.
+  write_sealed_manifest("deadbeef,nvd,security,1,repo,,0,0,10,0123456789abcdef\n");
   EXPECT_THROW(store::load_patchdb(root_), std::runtime_error);
 }
 
@@ -250,29 +272,105 @@ TEST_F(StoreTest, LoadDetectsFlippedByteInManifest) {
 TEST_F(StoreTest, LoadDetectsCorruptedPatchFile) {
   const core::PatchDb db = small_db();
   store::export_patchdb(db, root_);
-  const fs::path victim =
-      root_ / "nvd" / (db.nvd_security[0].patch.commit + ".patch");
+  // Flip one bit inside the first NVD row's bytes: same length, so only
+  // the row checksum can notice, and the error must name the commit.
+  const fs::path victim = segment_path(root_, 0);
   std::string content = store::read_file(victim);
-  content[content.size() / 2] ^= 0x01;  // same length, one flipped bit
-  std::ofstream(victim, std::ios::binary) << content;
+  content[diff::render_patch(db.nvd_security[0].patch).size() / 2] ^= 0x01;
+  overwrite(victim, content);
   try {
     store::load_patchdb(root_);
-    FAIL() << "corrupted patch file loaded without error";
+    FAIL() << "corrupted segment loaded without error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
-              std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
+    EXPECT_NE(what.find(db.nvd_security[0].patch.commit), std::string::npos) << what;
   }
 }
 
 TEST_F(StoreTest, LoadDetectsTruncatedPatchFile) {
+  store::export_patchdb(small_db(), root_);
+  const fs::path victim = segment_path(root_, 1);
+  const std::string content = store::read_file(victim);
+  overwrite(victim, content.substr(0, content.size() / 2));
+  EXPECT_THROW(store::load_patchdb(root_), std::runtime_error);
+}
+
+/// load_patchdb must throw a std::runtime_error whose message holds
+/// `needle` (and never read past a buffer: the sanitizer job runs this).
+void expect_load_error(const fs::path& root, const std::string& needle) {
+  try {
+    store::load_patchdb(root);
+    FAIL() << "damaged export loaded without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(StoreTest, LoadRejectsLengthPastEndOfSegment) {
   const core::PatchDb db = small_db();
   store::export_patchdb(db, root_);
-  const fs::path victim =
-      root_ / "wild" / (db.wild_security[0].patch.commit + ".patch");
-  const std::string content = store::read_file(victim);
-  std::ofstream(victim, std::ios::binary)
-      << content.substr(0, content.size() / 2);
-  EXPECT_THROW(store::load_patchdb(root_), std::runtime_error);
+  // The last wild row claims one byte more than the segment holds.
+  const corpus::CommitRecord& last = db.wild_security.back();
+  const std::size_t length = diff::render_patch(last.patch).size();
+  set_manifest_field(root_, last.patch.commit, kLengthColumn,
+                     std::to_string(length + 1));
+  expect_load_error(root_, "is short");
+}
+
+TEST_F(StoreTest, LoadRejectsLengthOfTwoToThe63) {
+  const core::PatchDb db = small_db();
+  store::export_patchdb(db, root_);
+  // 2^63 would overflow a signed offset + length; it must fail the
+  // capped parse, before any arithmetic.
+  set_manifest_field(root_, db.nvd_security[0].patch.commit, kLengthColumn,
+                     "9223372036854775808");
+  expect_load_error(root_, "length field out of range");
+  set_manifest_field(root_, db.nvd_security[0].patch.commit, kLengthColumn,
+                     "18446744073709551615");
+  expect_load_error(root_, "length field out of range");
+}
+
+TEST_F(StoreTest, LoadRejectsTrailingUncoveredBytes) {
+  store::export_patchdb(small_db(), root_);
+  const fs::path victim = segment_path(root_, 2);
+  overwrite(victim, store::read_file(victim) + "diff --git a/x b/x\n");
+  expect_load_error(root_, "not covered by the manifest");
+}
+
+TEST_F(StoreTest, LoadRejectsMissingSegment) {
+  store::export_patchdb(small_db(), root_);
+  fs::remove(segment_path(root_, store::kSyntheticComponent));
+  expect_load_error(root_, "missing or unreadable segment synthetic.patches");
+}
+
+TEST_F(StoreTest, LoadRejectsTornSegment) {
+  const core::PatchDb db = small_db();
+  store::export_patchdb(db, root_);
+  // Re-export over it; the wild segment write (write 1) tears and the
+  // export dies, leaving the previous manifest over a half segment.
+  store::FaultPlan plan;
+  plan.fail_write = 1;
+  plan.truncate = true;
+  store::set_fault_plan(plan);
+  EXPECT_THROW(store::export_patchdb(db, root_), store::FaultInjected);
+  store::clear_fault_plan();
+  expect_load_error(root_, "wild.patches is short");
+}
+
+TEST_F(StoreTest, LoadRefusesV2Export) {
+  // A v2 (file-per-patch) manifest: sealed correctly, older version.
+  fs::create_directories(root_);
+  std::string body = "#patchdb.store.v2\n";
+  body += "commit,component,label,type,repo,origin,variant,modified_after,checksum\n";
+  body += "deadbeef,nvd,security,1,repo,,0,0,0123456789abcdef\n";
+  overwrite(root_ / "manifest.csv", store::with_checksum_trailer(std::move(body)));
+  try {
+    store::load_patchdb(root_);
+    FAIL() << "a v2 export was accepted";
+  } catch (const store::UnsupportedVersion& e) {
+    EXPECT_NE(std::string(e.what()).find("re-export"), std::string::npos) << e.what();
+  }
 }
 
 TEST_F(StoreTest, ChecksumTrailerRejectsAnyTampering) {

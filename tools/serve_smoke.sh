@@ -3,9 +3,10 @@
 #
 #   tools/serve_smoke.sh [BUILD_DIR] [ARTIFACT_DIR]
 #
-# Builds a small example dataset with `patchdb build`, starts patchdbd
-# on an ephemeral port, pings it with patchdb_client, drives a
-# sustained load through bench/micro_serve, gates the client metrics
+# Builds a small example dataset with `patchdb build`, requires
+# `patchdb fsck` to pass on it, starts patchdbd on an ephemeral port,
+# pings it with patchdb_client, drives a sustained load through
+# bench/micro_serve, gates the client metrics
 # with tools/bench_diff on machine-independent rules (exact request
 # counts and zero errors — latency varies with hardware and is
 # recorded, not gated), then SIGTERMs the daemon and requires a
@@ -44,6 +45,12 @@ trap cleanup EXIT
 echo "serve_smoke.sh: building example dataset"
 "${cli_bin}" build --out "${workdir}/dataset" \
   --nvd 30 --wild 300 --rounds 1 --seed 907 > /dev/null
+
+echo "serve_smoke.sh: verifying the export with patchdb fsck"
+if ! "${cli_bin}" fsck "${workdir}/dataset"; then
+  echo "serve_smoke.sh: patchdb fsck rejected the export it is about to serve" >&2
+  exit 1
+fi
 
 echo "serve_smoke.sh: starting patchdbd"
 "${daemon_bin}" --data "${workdir}/dataset" \
