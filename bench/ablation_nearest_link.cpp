@@ -16,6 +16,11 @@
 //      streaming-exact on a clustered Gaussian-mixture pool (uniform
 //      data defeats every pruning bound), with an nprobe sweep and a
 //      bitwise equality check on each arm.
+//   6. Pipeline features — dense, streaming-exact and streaming-coarse
+//      on the reference build's own first-round link (the world's NVD
+//      seed rows against its wild pool, `patchdb build --nvd 600
+//      --wild 40000` at seed 42), where Table I's count features repeat
+//      and the engine links each distinct vector once.
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -361,6 +366,103 @@ int main(int argc, char** argv) {
     PATCHDB_GAUGE_SET("nearest_link.bench.index_probes", default_probes);
     if (!all_identical) {
       std::printf("  ERROR: an index arm diverged from streaming-exact\n");
+      return 1;
+    }
+  }
+
+  // ---- 6. Pipeline features (reference build scale).
+  //
+  // The Gaussian arms above have no repeated vectors; the pipeline's
+  // count features do (most wild commits share their vector with
+  // others), which is what the distinct-vector grouping exploits and
+  // what decides whether the index pays off inside a real build.
+  {
+    corpus::WorldConfig pipeline;
+    pipeline.repos = 40;  // `patchdb build`'s world
+    pipeline.nvd_security = bench::scaled(600, scale);
+    pipeline.wild_pool = bench::scaled(40000, scale);
+    pipeline.seed = 42;
+    const corpus::World pworld = corpus::build_world(pipeline);
+    const feature::FeatureMatrix psec =
+        bench::features_of(bench::as_pointers(pworld.nvd_security));
+    const feature::FeatureMatrix ppool =
+        bench::features_of(bench::as_pointers(pworld.wild));
+    const std::vector<double> weights = core::maxabs_weights(psec, ppool);
+
+    core::LinkResult dense_link;
+    const double dense_ms = bench::timed_ms("ablation.pipeline_dense", [&] {
+      dense_link = core::nearest_link_search(
+          core::distance_matrix(psec, ppool, weights));
+    });
+    const auto run = [&](core::IndexKind kind, core::StreamingLinkStats& stats,
+                         core::LinkResult& link) {
+      core::StreamingLinkConfig cfg;
+      cfg.index.kind = kind;
+      return bench::timed_ms("ablation.pipeline_streaming", [&] {
+        link = core::streaming_nearest_link(psec, ppool, weights, cfg, &stats);
+      });
+    };
+    core::StreamingLinkStats exact_stats;
+    core::StreamingLinkStats coarse_stats;
+    core::LinkResult exact_link;
+    core::LinkResult coarse_link;
+    const double exact_ms = run(core::IndexKind::kExact, exact_stats, exact_link);
+    const double coarse_ms =
+        run(core::IndexKind::kCoarse, coarse_stats, coarse_link);
+    session.add_items(3 * psec.rows());
+
+    const auto same = [&dense_link](const core::LinkResult& link) {
+      return dense_link.candidate == link.candidate &&
+             dense_link.total_distance == link.total_distance;
+    };
+    const bool identical = same(exact_link) && same(coarse_link);
+    const double cells = static_cast<double>(psec.rows()) *
+                         static_cast<double>(ppool.rows());
+
+    util::Table table("Pipeline features (" + util::human_count(psec.rows()) +
+                      " NVD x " + util::human_count(ppool.rows()) +
+                      " wild, " + std::to_string(exact_stats.distinct_rows) +
+                      " x " + std::to_string(exact_stats.distinct_cols) +
+                      " distinct)");
+    table.set_header({"Engine", "Time (ms)", "Exact cells", "Rescans",
+                      "Identical"});
+    table.add_row({"dense matrix", util::format_double(dense_ms, 1),
+                   util::human_count(static_cast<std::size_t>(cells)), "—",
+                   "—"});
+    const auto add = [&](const char* name, double ms,
+                         const core::StreamingLinkStats& stats,
+                         const core::LinkResult& link) {
+      table.add_row({name, util::format_double(ms, 1),
+                     util::human_count(stats.exact_cells + stats.rescan_cells),
+                     std::to_string(stats.fallback_rescans),
+                     same(link) ? "yes (bitwise)" : "NO — MISMATCH"});
+    };
+    add("streaming exact", exact_ms, exact_stats, exact_link);
+    add("streaming coarse", coarse_ms, coarse_stats, coarse_link);
+    std::printf("%s", table.render().c_str());
+    std::printf("  identical feature vectors are scored once; the index\n"
+                "  competes against that grouped exact engine\n");
+
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_dense_ms", dense_ms);
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_exact_ms", exact_ms);
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_coarse_ms", coarse_ms);
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_index_speedup",
+                      coarse_ms > 0.0 ? exact_ms / coarse_ms : 0.0);
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_rows",
+                      static_cast<double>(psec.rows()));
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_cols",
+                      static_cast<double>(ppool.rows()));
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_distinct_rows",
+                      static_cast<double>(exact_stats.distinct_rows));
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_distinct_cols",
+                      static_cast<double>(exact_stats.distinct_cols));
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_exact_cells",
+                      static_cast<double>(exact_stats.exact_cells +
+                                          exact_stats.rescan_cells));
+    PATCHDB_GAUGE_SET("nearest_link.bench.pipeline_identical",
+                      identical ? 1.0 : 0.0);
+    if (!identical) {
+      std::printf("  ERROR: a pipeline arm diverged from dense\n");
       return 1;
     }
   }

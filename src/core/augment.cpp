@@ -92,6 +92,7 @@ RoundStats AugmentationLoop::run_round() {
       security_features_.push_back(pool_features_[selected[i]]);
     } else {
       nonsecurity_.push_back(record);
+      nonsecurity_features_.push_back(pool_features_[selected[i]]);
     }
   }
   stats.ratio = stats.candidates == 0
@@ -120,10 +121,8 @@ RoundStats AugmentationLoop::run_round() {
     if (idx != last) pool_features_.set_row(idx, pool_features_[last]);
     pool_.pop_back();
   }
-  // Rebuild the feature matrix to the shrunken size.
-  feature::FeatureMatrix shrunk(pool_.size(), pool_features_.cols());
-  for (std::size_t i = 0; i < pool_.size(); ++i) shrunk.set_row(i, pool_features_[i]);
-  pool_features_ = std::move(shrunk);
+  // The swap-erase compacted the rows in place; drop the tail.
+  pool_features_.truncate(pool_.size());
 
   util::log_info() << "augment round " << stats.round << ": " << stats.candidates
                    << " candidates, " << stats.verified_security
@@ -182,15 +181,21 @@ void AugmentationLoop::restore(const LoopCheckpoint& checkpoint,
     }
     return it->second;
   };
+  std::vector<const corpus::CommitRecord*> found;
+  found.reserve(checkpoint.wild_security.size());
   for (const std::string& commit : checkpoint.wild_security) {
-    const corpus::CommitRecord* record = lookup(commit);
-    security_.push_back(record);
-    security_features_.push_back(feature::extract(record->patch));
+    found.push_back(lookup(commit));
+  }
+  const feature::FeatureMatrix found_features = extract_records(found);
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    security_.push_back(found[i]);
+    security_features_.push_back(found_features[i]);
   }
   nonsecurity_.reserve(checkpoint.nonsecurity.size());
   for (const std::string& commit : checkpoint.nonsecurity) {
     nonsecurity_.push_back(lookup(commit));
   }
+  nonsecurity_features_ = extract_records(nonsecurity_);
   pool_.reserve(checkpoint.pool.size());
   for (const std::string& commit : checkpoint.pool) {
     pool_.push_back(lookup(commit));

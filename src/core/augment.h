@@ -119,6 +119,15 @@ class AugmentationLoop {
   const std::vector<const corpus::CommitRecord*>& nonsecurity() const noexcept {
     return nonsecurity_;
   }
+  /// Table I feature rows, row i belonging to security()[i] /
+  /// nonsecurity()[i]: the vectors candidate selection already
+  /// extracted, kept so the export need not extract them again.
+  const feature::FeatureMatrix& security_features() const noexcept {
+    return security_features_;
+  }
+  const feature::FeatureMatrix& nonsecurity_features() const noexcept {
+    return nonsecurity_features_;
+  }
   std::size_t pool_remaining() const noexcept { return pool_.size(); }
 
  private:
@@ -137,6 +146,7 @@ class AugmentationLoop {
   feature::FeatureMatrix pool_features_;
 
   std::vector<const corpus::CommitRecord*> nonsecurity_;
+  feature::FeatureMatrix nonsecurity_features_;
 };
 
 }  // namespace patchdb::core

@@ -40,6 +40,13 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
   for (const corpus::CommitRecord* r : loop.nonsecurity()) {
     db.nonsecurity.push_back(*r);
   }
+  // The loop's security rows are the seed (NVD) rows then the wild
+  // finds, in component order; the rejected rows follow.
+  db.natural_features = loop.security_features();
+  const feature::FeatureMatrix& rejected = loop.nonsecurity_features();
+  for (std::size_t i = 0; i < rejected.rows(); ++i) {
+    db.natural_features.push_back(rejected[i]);
+  }
 
   // Stage 3: synthetic oversampling from the natural patches that carry
   // snapshots (NVD side by default; wild side when the world kept them).

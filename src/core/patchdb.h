@@ -12,6 +12,7 @@
 
 #include "core/augment.h"
 #include "corpus/world.h"
+#include "feature/features.h"
 #include "synth/synthesize.h"
 
 namespace patchdb::core {
@@ -54,6 +55,11 @@ struct PatchDb {
   std::vector<corpus::CommitRecord> nonsecurity;
   /// Component 3: synthetic patches derived from the natural ones.
   std::vector<synth::SyntheticPatch> synthetic;
+  /// Table I feature rows of the natural patches in component order
+  /// (nvd_security, wild_security, nonsecurity): the vectors the
+  /// augmentation loop extracted, which the export writes to
+  /// features.csv.
+  feature::FeatureMatrix natural_features;
 
   /// Collection + augmentation telemetry.
   corpus::CrawlStats crawl_stats;

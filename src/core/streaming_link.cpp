@@ -1,10 +1,13 @@
 #include "core/streaming_link.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,6 +35,19 @@ bool lex_less(const Entry& a, const Entry& b) noexcept {
   return a.d < b.d || (a.d == b.d && a.col < b.col);
 }
 
+/// The squared-distance bar of a full heap whose front is `front`: a
+/// lane whose float square exceeds it has a rounded root strictly above
+/// the front, so it cannot enter. A square above front^2 * (1 + 2^-21)
+/// is more than a float ulp of the root past the front, and the bar is
+/// rounded up to float so the float compare never rejects a lane that
+/// bound keeps. Denormal fronts, where the relative margin stops
+/// covering an ulp, get no bar.
+float entry_bar(float front) noexcept {
+  const double fsq = static_cast<double>(front) * static_cast<double>(front);
+  if (!(fsq > 1e-60)) return HUGE_VALF;
+  return std::nextafterf(static_cast<float>(fsq * (1.0 + 0x1p-21)), HUGE_VALF);
+}
+
 std::size_t round_up_groups(std::size_t v) noexcept {
   return (v + kLinkGroupCols - 1) / kLinkGroupCols * kLinkGroupCols;
 }
@@ -43,7 +59,80 @@ struct alignas(64) ShardTally {
   std::uint64_t exact = 0;
   std::uint64_t tiles = 0;
   std::uint64_t screened = 0;  // cells skipped by index group masks
+  std::uint64_t offers = 0;    // member entries offered to a heap
 };
+
+/// The rows of a feature matrix grouped by bitwise-identical values.
+/// Groups are numbered in order of their lowest row, and group g's rows
+/// are members[first[g], first[g+1]) in ascending order.
+struct RowGroups {
+  std::vector<std::uint32_t> of;       // row -> group
+  std::vector<std::uint32_t> first;    // group -> member offset, + end
+  std::vector<std::uint32_t> members;  // rows, grouped, ascending
+
+  std::size_t size() const noexcept { return first.size() - 1; }
+  /// The group's lowest row, which stands for all of them.
+  std::uint32_t lead(std::size_t g) const noexcept { return members[first[g]]; }
+};
+
+/// Group by the raw double bits: weight-independent, and equal bits
+/// scale to equal floats, hence equal distances (+0.0 and -0.0 stay
+/// apart, which only costs a duplicate cell). Rows are hashed in
+/// parallel; the serial insert into an open-addressing table confirms
+/// every hash match with a byte compare.
+RowGroups group_identical_rows(const feature::FeatureMatrix& matrix) {
+  const std::size_t n = matrix.rows();
+  const std::size_t row_bytes = matrix.cols() * sizeof(double);
+  std::vector<std::uint64_t> hash(n);
+  util::default_pool().parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      std::uint64_t h = 0;
+      for (const double v : matrix[i]) {
+        h = (std::rotl(h, 5) ^ std::bit_cast<std::uint64_t>(v)) *
+            0x9e3779b97f4a7c15ULL;
+      }
+      h ^= h >> 33;  // murmur3 finalizer: the table indexes low bits
+      h *= 0xff51afd7ed558ccdULL;
+      hash[i] = h ^ (h >> 33);
+    }
+  });
+
+  // Linear probing at load <= 1/2; a slot holds group id + 1.
+  const std::size_t slot_mask =
+      std::bit_ceil(std::max<std::size_t>(2 * n, 2)) - 1;
+  std::vector<std::uint32_t> table(slot_mask + 1, 0);
+  std::vector<std::uint32_t> lead;
+  RowGroups groups;
+  groups.of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = hash[i] & slot_mask;; s = (s + 1) & slot_mask) {
+      if (table[s] == 0) {
+        groups.of[i] = static_cast<std::uint32_t>(lead.size());
+        lead.push_back(static_cast<std::uint32_t>(i));
+        table[s] = static_cast<std::uint32_t>(lead.size());
+        break;
+      }
+      const std::uint32_t g = table[s] - 1;
+      if (hash[lead[g]] == hash[i] &&
+          std::memcmp(matrix[lead[g]].data(), matrix[i].data(), row_bytes) ==
+              0) {
+        groups.of[i] = g;
+        break;
+      }
+    }
+  }
+
+  groups.first.assign(lead.size() + 1, 0);
+  for (const std::uint32_t g : groups.of) ++groups.first[g + 1];
+  std::partial_sum(groups.first.begin(), groups.first.end(),
+                   groups.first.begin());
+  groups.members.resize(n);
+  std::vector<std::uint32_t> fill(groups.first.begin(), groups.first.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    groups.members[fill[groups.of[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  return groups;
+}
 
 }  // namespace
 
@@ -142,41 +231,64 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_TRACE_SPAN("nearest_link.streaming");
   PATCHDB_COUNTER_ADD("nearest_link.links", m);
 
-  const StreamingLinkConfig::Resolved rc = config.resolve(m, n, dims);
+  // ---- Grouping: identical raw features scale to identical floats and
+  // so to identical distances, so every pass below works on distinct
+  // rows (mr) x distinct columns (nc) and touches member ids only where
+  // a heap or a pick needs a real column.
+  const RowGroups rows = group_identical_rows(security);
+  const RowGroups cols = group_identical_rows(wild);
+  const std::size_t mr = rows.size();
+  const std::size_t nc = cols.size();
+
+  const StreamingLinkConfig::Resolved rc = config.resolve(mr, nc, dims);
   const std::size_t k = rc.top_k;
   const std::size_t tile = rc.tile_cols;
   const std::size_t shards = rc.threads;
-  const std::size_t tiles_total = (n + tile - 1) / tile;
+  const std::size_t tiles_total = (nc + tile - 1) / tile;
   const std::size_t groups_per_tile = round_up_groups(tile) / kLinkGroupCols;
   constexpr std::size_t G = kLinkGroupCols;
 
   // Same scale-then-cast as the dense kernel: identical float inputs.
-  const std::vector<float> sec = scale_features(security, weights);
+  // Distinct row g is scaled from its lowest member.
+  std::vector<float> sec(mr * dims);
+  for (std::size_t g = 0; g < mr; ++g) {
+    const std::span<const double> row = security[rows.lead(g)];
+    for (std::size_t j = 0; j < dims; ++j) {
+      sec[g * dims + j] = scale_cell(row[j], weights[j]);
+    }
+  }
 
-  // ---- Phase 0 (optional): build the index over the scaled pool,
-  // stream a partition-grouped permutation of it so each row's
-  // shortlist becomes a handful of contiguous SIMD-group runs, and
-  // record per-row group bitmasks plus the pending bound pass 2 uses to
-  // prove or rescan every pick. Heap entries store ORIGINAL column ids,
-  // so the merge order, tie-breaking, and the result are untouched.
+  // ---- Phase 0 (optional): build the index over the scaled distinct
+  // columns, stream a partition-grouped permutation of them so each
+  // row's shortlist becomes a handful of contiguous SIMD-group runs,
+  // and record per-row group bitmasks plus the pending bound pass 2
+  // uses to prove or rescan every pick. Heap entries store ORIGINAL
+  // column ids, so the merge order, tie-breaking, and the result are
+  // untouched.
   const bool use_index = config.index.kind != IndexKind::kExact;
   std::unique_ptr<Index> index;
   std::span<const std::uint32_t> ord;
   std::size_t mask_words = 0;
-  std::vector<std::uint64_t> mask;  // m x mask_words group bitmasks
-  std::vector<double> pending(m, std::numeric_limits<double>::infinity());
+  std::vector<std::uint64_t> mask;  // mr x mask_words group bitmasks
+  std::vector<double> pending(mr, std::numeric_limits<double>::infinity());
   std::vector<std::uint64_t> row_probes;
   std::vector<std::uint64_t> row_shortlist;
   if (use_index) {
     PATCHDB_TRACE_SPAN("nearest_link.index_build");
     // The row-major scaled pool lives only while the index reads it;
     // afterwards the dim-major pack below is the one pool copy.
-    const std::vector<float> wld = scale_features(wild, weights);
+    std::vector<float> wld(nc * dims);
+    for (std::size_t c = 0; c < nc; ++c) {
+      const std::span<const double> col = wild[cols.lead(c)];
+      for (std::size_t j = 0; j < dims; ++j) {
+        wld[c * dims + j] = scale_cell(col[j], weights[j]);
+      }
+    }
     IndexConfig icfg = config.index;
     if (icfg.kind == IndexKind::kCoarse && icfg.clusters == 0) {
-      // Auto-size against two failure modes: the one-off n x C
-      // assignment pass must stay well under one exact m x n sweep
-      // (cap at m/3), and the partition must not be finer than nprobe
+      // Auto-size against two failure modes: the one-off nc x C
+      // assignment pass must stay well under one exact mr x nc sweep
+      // (cap at mr/3), and the partition must not be finer than nprobe
       // can cover — a query whose natural neighborhood splits across
       // more than nprobe clusters leaves a near cluster unprobed,
       // the pending bound collapses, and every such row re-scans.
@@ -184,20 +296,20 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       // scale.
       icfg.clusters = std::clamp<std::size_t>(
           std::min(static_cast<std::size_t>(
-                       std::sqrt(static_cast<double>(n))),
+                       std::sqrt(static_cast<double>(nc))),
                    8 * icfg.nprobe),
-          1, std::max<std::size_t>(1, m / 3));
+          1, std::max<std::size_t>(1, mr / 3));
     }
     index = make_index(icfg);
-    index->build(wld.data(), n, dims);
+    index->build(wld.data(), nc, dims);
     ord = index->ordering();
 
     mask_words = (tiles_total * groups_per_tile + 63) / 64;
-    mask.assign(m * mask_words, 0);
-    row_probes.assign(m, 0);
-    row_shortlist.assign(m, 0);
+    mask.assign(mr * mask_words, 0);
+    row_probes.assign(mr, 0);
+    row_shortlist.assign(mr, 0);
     util::default_pool().parallel_for(
-        m, [&](std::size_t begin, std::size_t end) {
+        mr, [&](std::size_t begin, std::size_t end) {
           std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
           // Position p sits in tile p/tile, group (p%tile)/64 — a slot
           // id that is monotone in p with +1 steps, so a contiguous
@@ -224,14 +336,14 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
         });
   }
 
-  // ---- One dim-major pack of the pool per call, shared by pass 1 and
-  // every fallback rescan. Slot s = t * groups_per_tile + g holds SIMD
-  // group g of tile t: G pool positions, dim j of lane c at
+  // ---- One dim-major pack of the distinct pool per call, shared by
+  // pass 1 and every fallback rescan. Slot s = t * groups_per_tile + g
+  // holds SIMD group g of tile t: G pool positions, dim j of lane c at
   // pack[s*G*dims + j*G + c], zero past the tile's last column.
-  // Position p is column ord[p] with an index (the partition-grouped
-  // order) and column p without. Lanes are scaled straight from the
-  // double features with scale_features' arithmetic, so they hold the
-  // exact floats the row-major copy would.
+  // Position p is distinct column ord[p] with an index (the
+  // partition-grouped order) and distinct column p without. Lanes are
+  // scaled straight from the double features with scale_features'
+  // arithmetic, so they hold the exact floats the row-major copy would.
   const auto col_of = [&](std::size_t p) {
     return use_index ? ord[p] : static_cast<std::uint32_t>(p);
   };
@@ -239,9 +351,9 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   const auto slot_span = [&](std::size_t s) {
     const std::size_t t = s / groups_per_tile;
     const std::size_t p0 = t * tile + (s % groups_per_tile) * G;
-    return std::pair{p0, std::min({G, t * tile + tile - p0, n - p0})};
+    return std::pair{p0, std::min({G, t * tile + tile - p0, nc - p0})};
   };
-  const std::size_t last_tile_width = n - (tiles_total - 1) * tile;
+  const std::size_t last_tile_width = nc - (tiles_total - 1) * tile;
   const std::size_t slots = (tiles_total - 1) * groups_per_tile +
                             (last_tile_width + G - 1) / G;
   // Each slot's column-norm range for the group screen is recorded
@@ -255,24 +367,24 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
           slot_norm[s] = pack_group(
               pack.data() + s * G * dims, width, dims,
               [&](std::size_t c, std::size_t j) {
-                return scale_cell(wild[col_of(p0 + c)][j], weights[j]);
+                return scale_cell(wild[cols.lead(col_of(p0 + c))][j],
+                                  weights[j]);
               });
         }
       });
 
-  std::vector<double> row_norm(m);  // ||a||
-  util::default_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      row_norm[r] = screen_row_norm(sec.data() + r * dims, dims);
-    }
-  });
+  std::vector<double> row_norm(mr);  // ||a||
+  for (std::size_t r = 0; r < mr; ++r) {
+    row_norm[r] = screen_row_norm(sec.data() + r * dims, dims);
+  }
 
   const double sqf = 1.0 - 2.0 * screen_margin(dims);
 
-  // ---- Pass 1: worker-sharded tile stream. Shard s owns the
-  // contiguous tile range [s*T/S, (s+1)*T/S) and fills private per-row
-  // top-k heaps (flat: row r owns [r*(k+1), r*(k+1)+k)) plus private
-  // tallies — no shared mutable state until the merge below.
+  // ---- Pass 1: worker-sharded tile stream over distinct rows x
+  // distinct columns. Shard s owns the contiguous tile range
+  // [s*T/S, (s+1)*T/S) and fills private per-row top-k heaps (flat: row
+  // r owns [r*(k+1), r*(k+1)+k)) plus private tallies — no shared
+  // mutable state until the merge below.
   std::vector<std::vector<Entry>> shard_entries(shards);
   std::vector<std::vector<std::uint32_t>> shard_sizes(shards);
   std::vector<ShardTally> tally(shards);
@@ -285,26 +397,28 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       const std::size_t tile_hi = (s + 1) * tiles_total / shards;
       std::vector<Entry>& entries = shard_entries[s];
       std::vector<std::uint32_t>& heap_size = shard_sizes[s];
-      entries.resize(m * (k + 1));
-      heap_size.assign(m, 0);
+      entries.resize(mr * (k + 1));
+      heap_size.assign(mr, 0);
 
       std::vector<float> lane(G);
       std::uint64_t pruned = 0;
       std::uint64_t exact = 0;
       std::uint64_t screened = 0;
+      std::uint64_t offers = 0;
 
       for (std::size_t t = tile_lo; t < tile_hi; ++t) {
         const std::size_t col0 = t * tile;
-        const std::size_t width = std::min(col0 + tile, n) - col0;
+        const std::size_t width = std::min(col0 + tile, nc) - col0;
         const std::size_t groups = (width + G - 1) / G;
         const float* tile_pack = pack.data() + t * groups_per_tile * G * dims;
         const GroupNormRange* tile_norm =
             slot_norm.data() + t * groups_per_tile;
-        for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t r = 0; r < mr; ++r) {
           const float* a = sec.data() + r * dims;
           const double na_s = row_norm[r];
           Entry* h = entries.data() + r * (k + 1);
           std::uint32_t sz = heap_size[r];
+          float bar = sz == k ? entry_bar(h[0].d) : HUGE_VALF;
           const std::uint64_t* rmask =
               use_index ? mask.data() + r * mask_words : nullptr;
           for (std::size_t g = 0; g < groups; ++g) {
@@ -335,51 +449,45 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
             exact += gw;
             sq_cell_block(a, tile_pack + gc0 * dims, dims, G, G, lane.data());
             if (sz == k) {
-              // Vectorized group rejection: the scalar loop below skips
-              // any lane with sq > front^2 * (1 + 2^-21), so when every
-              // lane clears that bar the whole group is a no-op and the
-              // branchy per-lane pass can be skipped. The bar is
-              // rounded *up* to float (nextafter) so a lane is never
-              // skipped here that the scalar screen would scan; the
-              // heap front only shrinks within a group, so the bar
-              // taken before the scan is the loosest one. Padded lanes
-              // can only force the scan, never suppress it.
-              const double fsq = static_cast<double>(h[0].d) *
-                                 static_cast<double>(h[0].d);
-              if (fsq > 1e-60) {
-                const float cut = std::nextafterf(
-                    static_cast<float>(fsq * (1.0 + 0x1p-21)), HUGE_VALF);
-                int any = 0;
-                for (std::size_t i = 0; i < G; ++i) {
-                  any |= lane[i] <= cut;
-                }
-                if (!any) continue;
+              // Vectorized group rejection: when every lane's square
+              // clears the entry bar, the per-lane pass below would skip
+              // them all, so the whole group is a no-op. The heap front
+              // only shrinks within a group, so the bar taken before the
+              // scan is the loosest one. Padded lanes can only force the
+              // scan, never suppress it.
+              int any = 0;
+              for (std::size_t i = 0; i < G; ++i) {
+                any |= lane[i] <= bar;
               }
+              if (!any) continue;
             }
             for (std::size_t i = 0; i < gw; ++i) {
               const float sq = lane[i];
-              if (sz == k) {
-                // Cheap pre-sqrt rejection: if sq exceeds the front's
-                // square by more than a float ulp's worth, the rounded
-                // root is strictly above the front and can't enter.
-                // (Guard excludes denormal fronts where the relative
-                // margin stops covering one ulp.)
-                const double fsq = static_cast<double>(h[0].d) *
-                                   static_cast<double>(h[0].d);
-                if (fsq > 1e-60 &&
-                    static_cast<double>(sq) > fsq * (1.0 + 0x1p-21)) {
-                  continue;
+              // Cheap pre-sqrt rejection (the bar is +inf until the heap
+              // is full).
+              if (sq > bar) continue;
+              // The distinct column's members share this distance, so
+              // they are offered in ascending column order and the
+              // first one the heap rejects ends the offer: every later
+              // member is lexicographically larger still.
+              const float d = std::sqrt(sq);
+              const std::uint32_t dc = col_of(col0 + gc0 + i);
+              for (std::uint32_t q = cols.first[dc]; q < cols.first[dc + 1];
+                   ++q) {
+                const Entry e{d, cols.members[q]};
+                ++offers;
+                if (sz < k) {
+                  h[sz++] = e;
+                  std::push_heap(h, h + sz, lex_less);
+                } else if (lex_less(e, h[0])) {
+                  std::pop_heap(h, h + k, lex_less);
+                  h[k - 1] = e;
+                  std::push_heap(h, h + k, lex_less);
+                } else {
+                  break;
                 }
               }
-              const Entry e{std::sqrt(sq), col_of(col0 + gc0 + i)};
-              if (sz < k) {
-                h[sz++] = e;
-                std::push_heap(h, h + sz, lex_less);
-              } else if (lex_less(e, h[0])) {
-                std::pop_heap(h, h + k, lex_less);
-                h[k - 1] = e;
-                std::push_heap(h, h + k, lex_less);
-              }
+              if (sz == k) bar = entry_bar(h[0].d);
             }
           }
           heap_size[r] = sz;
@@ -390,17 +498,18 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       tally[s].exact = exact;
       tally[s].tiles = tile_hi - tile_lo;
       tally[s].screened = screened;
+      tally[s].offers = offers;
     }
   });
 
-  // ---- Deterministic merge: per row, the k lexicographically smallest
-  // of the shard top-k union. Columns are unique so (d, col) is a total
-  // order — the merged list is the same for every shard count, and it
-  // equals the serial top-k because an entry among the k global minima
-  // is always inside its own shard's top-k.
-  std::vector<Entry> entries(m * (k + 1));
-  std::vector<std::uint32_t> heap_size(m, 0);
-  util::default_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
+  // ---- Deterministic merge: per distinct row, the k lexicographically
+  // smallest of the shard top-k union. Columns are unique so (d, col)
+  // is a total order — the merged list is the same for every shard
+  // count, and it equals the serial top-k because an entry among the k
+  // global minima is always inside its own shard's top-k.
+  std::vector<Entry> entries(mr * (k + 1));
+  std::vector<std::uint32_t> heap_size(mr, 0);
+  util::default_pool().parallel_for(mr, [&](std::size_t begin, std::size_t end) {
     std::vector<Entry> scratch;
     scratch.reserve(shards * k);
     for (std::size_t r = begin; r < end; ++r) {
@@ -416,27 +525,33 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     }
   });
 
-  std::uint64_t pruned_total = 0;
-  std::uint64_t exact_total = 0;
-  std::uint64_t tiles = 0;
-  std::uint64_t screened_total = 0;
+  ShardTally sum;
   for (const ShardTally& t : tally) {
-    pruned_total += t.pruned;
-    exact_total += t.exact;
-    tiles += t.tiles;
-    screened_total += t.screened;
+    sum.pruned += t.pruned;
+    sum.exact += t.exact;
+    sum.tiles += t.tiles;
+    sum.screened += t.screened;
+    sum.offers += t.offers;
   }
 
   // Exact full-row rescan through the blocked kernel over the shared
-  // pool pack. l2_cell_block is per-lane bit-identical to l2_cell, and
-  // the scan keeps the lexicographically smallest (distance, column)
-  // among unused columns — with the identity order that is the first-win
-  // `<` of an ascending scalar scan, and with an index's permuted order
-  // it is still the same column. Fixed slot ranges scan in parallel and
-  // merge under the same total order, so the rescan is deterministic
-  // for every shard count. (Every value compared is a float the dense
-  // matrix also holds.)
+  // pool pack: a lane's float square, rooted in float, is bit-identical
+  // to l2_cell, and lanes past the entry bar of the best so far are
+  // skipped before the root, as in pass 1. A distinct column stands for
+  // its lowest unused member, next_free[c] (an offset into
+  // cols.members; exhausted columns are skipped), whose (distance,
+  // column) is the lexicographic minimum over the column's unused
+  // members — so the scan's minimum over distinct columns is the
+  // first-win `<` minimum of an ascending scalar scan over the unused
+  // real columns, for the identity pack order and an index's permuted
+  // one alike. next_free only moves forward, because used[] only grows
+  // within a call. Fixed slot ranges scan in parallel and merge under
+  // the same total order, so the rescan is deterministic for every
+  // shard count. (Every value compared is a float the dense matrix also
+  // holds.)
   std::vector<char> used(n, 0);
+  std::vector<std::uint32_t> next_free(cols.first.begin(),
+                                       cols.first.end() - 1);
   std::uint64_t rescan_cells = 0;
 
   auto full_row_rescan = [&](std::size_t r) {
@@ -448,20 +563,30 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
           float lane[G];
           for (std::size_t s = range_begin; s < range_end; ++s) {
             Entry best = none;
+            float bar = HUGE_VALF;  // entry_bar(best.d)
             for (std::size_t slot = s * slots / shards;
                  slot < (s + 1) * slots / shards; ++slot) {
               const auto [p0, width] = slot_span(slot);
-              l2_cell_block(a, pack.data() + slot * G * dims, dims, G, G,
-                            lane);
+              sq_cell_block(a, pack.data() + slot * G * dims, dims, G, G, lane);
+              int any = 0;
+              for (std::size_t c = 0; c < G; ++c) any |= lane[c] <= bar;
+              if (!any) continue;
               for (std::size_t c = 0; c < width; ++c) {
-                const Entry e{lane[c], col_of(p0 + c)};
-                if (!used[e.col] && lex_less(e, best)) best = e;
+                if (lane[c] > bar) continue;  // root strictly above best.d
+                const std::uint32_t dc = col_of(p0 + c);
+                if (next_free[dc] == cols.first[dc + 1]) continue;
+                // The float root of the float square: l2_cell's value.
+                const Entry e{std::sqrt(lane[c]), cols.members[next_free[dc]]};
+                if (lex_less(e, best)) {
+                  best = e;
+                  bar = entry_bar(best.d);
+                }
               }
             }
             range_best[s] = best;
           }
         });
-    rescan_cells += n;
+    rescan_cells += nc;
     Entry out = none;
     for (const Entry& rb : range_best) {
       if (lex_less(rb, out)) out = rb;
@@ -469,10 +594,10 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     return out;
   };
 
-  // Index pre-pass: a row whose pending bound cannot strictly prove its
-  // cached minimum beats every non-shortlisted column gets one verified
-  // full-row scan now, while used[] is still all-false — which is
-  // exactly the static minimum u the dense greedy orders rows by. The
+  // Index pre-pass: a distinct row whose pending bound cannot strictly
+  // prove its cached minimum beats every non-shortlisted column gets one
+  // verified full-row scan now, while used[] is still all-false — which
+  // is exactly the static minimum u the dense greedy orders rows by. The
   // verified head stays valid at pick time as long as its column is
   // unused: the global first-win minimum, while unused, is also the
   // first-win minimum over the unused columns.
@@ -481,10 +606,10 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   std::vector<std::uint32_t> head_col;
   std::vector<char> has_head;
   if (use_index) {
-    head_d.assign(m, 0.0);
-    head_col.assign(m, 0);
-    has_head.assign(m, 0);
-    for (std::size_t r = 0; r < m; ++r) {
+    head_d.assign(mr, 0.0);
+    head_col.assign(mr, 0);
+    has_head.assign(mr, 0);
+    for (std::size_t r = 0; r < mr; ++r) {
       const Entry* h = entries.data() + r * (k + 1);
       if (heap_size[r] > 0 &&
           pending[r] > static_cast<double>(h[0].d)) {
@@ -504,24 +629,28 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   // the processing order is static: ascending (u, row). A binary heap
   // replaces the O(M^2) linear sweep. Rows the index could not prove
   // use their verified head as u — the exact value dense would use.
+  // Identical rows share their distinct row's merged heap, head and
+  // cursor: an entry one member skips as used stays used for the rest.
   std::vector<std::pair<double, std::size_t>> order(m);
   for (std::size_t r = 0; r < m; ++r) {
-    const double u = use_index && has_head[r]
-                         ? head_d[r]
-                         : static_cast<double>(entries[r * (k + 1)].d);
+    const std::uint32_t g = rows.of[r];
+    const double u = use_index && has_head[g]
+                         ? head_d[g]
+                         : static_cast<double>(entries[g * (k + 1)].d);
     order[r] = {u, r};
   }
   std::make_heap(order.begin(), order.end(), std::greater<>());
 
-  std::vector<std::uint32_t> cursor(m, 0);
+  std::vector<std::uint32_t> cursor(mr, 0);
   result.candidate.assign(m, 0);
   std::size_t topk_hits = 0;
   std::size_t fallbacks = 0;
 
   while (!order.empty()) {
     std::pop_heap(order.begin(), order.end(), std::greater<>());
-    const std::size_t r = order.back().second;
+    const std::size_t row = order.back().second;
     order.pop_back();
+    const std::uint32_t r = rows.of[row];
 
     const Entry* h = entries.data() + r * (k + 1);
     std::uint32_t pos = cursor[r];
@@ -556,42 +685,51 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       chosen_d = best.d;
       chosen_col = best.col;
     }
-    result.candidate[r] = chosen_col;
+    result.candidate[row] = chosen_col;
     result.total_distance += static_cast<double>(chosen_d);
     used[chosen_col] = 1;
+    const std::uint32_t dc = cols.of[chosen_col];
+    std::uint32_t& nf = next_free[dc];
+    while (nf < cols.first[dc + 1] && used[cols.members[nf]]) ++nf;
   }
 
-  PATCHDB_COUNTER_ADD("distance.tiles", tiles);
-  PATCHDB_COUNTER_ADD("distance.cells", exact_total);
-  PATCHDB_COUNTER_ADD("distance.flops", exact_total * (3 * dims + 1));
+  PATCHDB_COUNTER_ADD("distance.tiles", sum.tiles);
+  PATCHDB_COUNTER_ADD("distance.cells", sum.exact);
+  PATCHDB_COUNTER_ADD("distance.flops", sum.exact * (3 * dims + 1));
+  PATCHDB_COUNTER_ADD("nearest_link.distinct_rows", mr);
+  PATCHDB_COUNTER_ADD("nearest_link.distinct_cols", nc);
+  PATCHDB_COUNTER_ADD("nearest_link.heap_offers", sum.offers);
   PATCHDB_COUNTER_ADD("nearest_link.topk_hits", topk_hits);
   PATCHDB_COUNTER_ADD("nearest_link.fallback_rescans", fallbacks);
   PATCHDB_COUNTER_ADD("nearest_link.rescan_cells", rescan_cells);
-  PATCHDB_COUNTER_ADD("nearest_link.streaming.pruned_cells", pruned_total);
+  PATCHDB_COUNTER_ADD("nearest_link.streaming.pruned_cells", sum.pruned);
 
   std::uint64_t probes_total = 0;
   std::uint64_t shortlist_total = 0;
   if (use_index) {
-    for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t r = 0; r < mr; ++r) {
       probes_total += row_probes[r];
       shortlist_total += row_shortlist[r];
     }
     PATCHDB_COUNTER_ADD("index.probes", probes_total);
     PATCHDB_COUNTER_ADD("index.shortlist_cols", shortlist_total);
-    PATCHDB_COUNTER_ADD("index.screened_cells", screened_total);
+    PATCHDB_COUNTER_ADD("index.screened_cells", sum.screened);
     PATCHDB_COUNTER_ADD("index.fallback_rescans", index_rescans);
   }
 
   if (stats != nullptr) {
-    stats->tiles = tiles;
-    stats->pruned_cells = pruned_total;
-    stats->exact_cells = exact_total;
+    stats->tiles = sum.tiles;
+    stats->pruned_cells = sum.pruned;
+    stats->exact_cells = sum.exact;
+    stats->heap_offers = sum.offers;
     stats->topk_hits = topk_hits;
     stats->fallback_rescans = fallbacks;
     stats->rescan_cells = rescan_cells;
+    stats->distinct_rows = mr;
+    stats->distinct_cols = nc;
     stats->index_probes = probes_total;
     stats->index_shortlist_cols = shortlist_total;
-    stats->index_screened_cells = use_index ? screened_total : 0;
+    stats->index_screened_cells = use_index ? sum.screened : 0;
     stats->index_fallback_rescans = index_rescans;
     stats->top_k = k;
     stats->tile_cols = tile;

@@ -5,6 +5,12 @@
 // 4076 x 200K shape) and the greedy link re-scans full O(N) rows on
 // candidate collisions. This engine instead
 //
+//   0. groups bitwise-identical feature vectors on entry (Table I's
+//      count features collide for patches of the same shape: ~8K
+//      distinct among 40K wild commits), so every distance below is
+//      scored once per (distinct row, distinct column) pair. A distinct
+//      column expands to its member columns only where a heap or a
+//      pick needs a column id;
 //   1. shards the wild set across the thread pool: each worker owns a
 //      contiguous range of column tiles and fills *private* per-row
 //      top-k candidate heaps with private prune/flop counters, so the
@@ -101,7 +107,9 @@ struct StreamingLinkConfig {
   };
   /// The effective knobs for an M x N problem over `dims` feature
   /// dimensions, after clamping to the matrix shape, the pool size,
-  /// and the memory cap.
+  /// and the memory cap. The engine passes its distinct shape (rows
+  /// and columns after grouping identical feature vectors), the one
+  /// its heaps and tiles are sized for.
   Resolved resolve(std::size_t rows, std::size_t cols,
                    std::size_t dims) const;
 };
@@ -113,11 +121,14 @@ struct StreamingLinkConfig {
 /// LinkResult, which never varies.
 struct StreamingLinkStats {
   std::size_t tiles = 0;             // streaming tiles processed
-  std::size_t pruned_cells = 0;      // skipped by a group norm screen
-  std::size_t exact_cells = 0;       // ran the blocked exact kernel
+  std::size_t distinct_rows = 0;     // security rows after grouping
+  std::size_t distinct_cols = 0;     // wild columns after grouping
+  std::size_t pruned_cells = 0;      // distinct cells a group screen skipped
+  std::size_t exact_cells = 0;       // distinct cells the exact kernel ran
+  std::size_t heap_offers = 0;       // member columns offered to a heap
   std::size_t topk_hits = 0;         // links served from a row's heap
   std::size_t fallback_rescans = 0;  // links that re-scanned a full row
-  std::size_t rescan_cells = 0;      // cells computed by full-row rescans
+  std::size_t rescan_cells = 0;      // distinct cells full-row rescans ran
   std::size_t index_probes = 0;          // partitions probed (phase 0)
   std::size_t index_shortlist_cols = 0;  // columns shortlisted (phase 0)
   std::size_t index_screened_cells = 0;  // cells skipped by index masks

@@ -53,6 +53,7 @@
 //   79     functions whose summary signature the patch changed
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <span>
@@ -136,6 +137,12 @@ class FeatureMatrix {
 
   void set_row(std::size_t i, std::span<const double> row) {
     std::copy(row.begin(), row.end(), data_.begin() + static_cast<std::ptrdiff_t>(i * cols_));
+  }
+
+  /// Keep the first `rows` rows (rows <= rows()), in place.
+  void truncate(std::size_t rows) {
+    rows_ = std::min(rows, rows_);
+    data_.resize(rows_ * cols_);
   }
 
   std::size_t rows() const noexcept { return rows_; }

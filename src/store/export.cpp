@@ -1,6 +1,7 @@
 #include "store/export.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "diff/parse.h"
 #include "diff/render.h"
@@ -55,6 +56,21 @@ void export_records(const std::vector<corpus::CommitRecord>& records,
 }  // namespace
 
 ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
+  // features.csv rows for every natural patch are the ones the build
+  // already extracted, in component order.
+  const std::vector<corpus::CommitRecord>* components[] = {
+      &db.nvd_security, &db.wild_security, &db.nonsecurity};
+  const feature::FeatureMatrix& rows = db.natural_features;
+  const std::size_t natural =
+      db.nvd_security.size() + db.wild_security.size() + db.nonsecurity.size();
+  if (rows.rows() != natural || rows.cols() != feature::feature_names().size()) {
+    throw std::invalid_argument(
+        "export_patchdb: natural_features holds " + std::to_string(rows.rows()) +
+        " rows of " + std::to_string(rows.cols()) + " features for " +
+        std::to_string(natural) + " natural patches of " +
+        std::to_string(feature::feature_names().size()) + " features");
+  }
+
   ExportStats stats;
   stats.root = root;
   create_directories_durably(root);
@@ -71,21 +87,6 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
     features += name;
   }
   features += '\n';
-
-  // features.csv rows for every natural patch, extracted in parallel up
-  // front; the rows below are appended serially and in component order,
-  // so the file is byte-identical to a serial extraction.
-  std::vector<const diff::Patch*> natural;
-  natural.reserve(db.nvd_security.size() + db.wild_security.size() +
-                  db.nonsecurity.size());
-  const std::vector<corpus::CommitRecord>* components[] = {
-      &db.nvd_security, &db.wild_security, &db.nonsecurity};
-  for (const auto* component : components) {
-    for (const corpus::CommitRecord& record : *component) {
-      natural.push_back(&record.patch);
-    }
-  }
-  const feature::FeatureMatrix rows = feature::extract_all(natural);
 
   // One segment per component, each written (and synced) before the
   // next is rendered, so one segment's bytes are in memory at a time.

@@ -50,7 +50,10 @@ struct ExportStats {
 };
 
 /// Write the dataset under `root` (created if absent; existing files are
-/// overwritten). Throws std::runtime_error on I/O failure.
+/// overwritten). features.csv takes its rows from db.natural_features,
+/// which build_patchdb fills. Throws std::invalid_argument when those
+/// rows do not match the natural patches one to one, and
+/// std::runtime_error on I/O failure.
 ExportStats export_patchdb(const core::PatchDb& db, const std::filesystem::path& root);
 
 /// A dataset loaded back from disk. Snapshots are empty (see above);

@@ -4,11 +4,13 @@
 // bytes, tampered lengths and manifests, older formats).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "core/patchdb.h"
 #include "diff/render.h"
+#include "feature/features.h"
 #include "store/csv.h"
 #include "store/export.h"
 #include "store/io.h"
@@ -388,6 +390,32 @@ TEST_F(StoreTest, ChecksumTrailerRejectsAnyTampering) {
   EXPECT_THROW(
       store::strip_checksum_trailer(sealed.substr(0, sealed.size() - 3), "doc"),
       std::runtime_error);
+}
+
+// features.csv is written from the rows the build extracted during
+// augmentation, not re-extracted at export time: they must be exactly
+// the vectors extraction gives, and a PatchDb whose rows do not match
+// its natural patches is refused before anything is written.
+TEST_F(StoreTest, ExportUsesTheBuildsFeatureRows) {
+  core::PatchDb db = small_db();
+  const std::vector<corpus::CommitRecord>* components[] = {
+      &db.nvd_security, &db.wild_security, &db.nonsecurity};
+  std::size_t row = 0;
+  for (const auto* component : components) {
+    for (const corpus::CommitRecord& record : *component) {
+      ASSERT_LT(row, db.natural_features.rows());
+      const feature::FeatureVector expected = feature::extract(record.patch);
+      const std::span<const double> got = db.natural_features[row++];
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                             expected.end()))
+          << record.patch.commit;
+    }
+  }
+  EXPECT_EQ(row, db.natural_features.rows());
+
+  db.natural_features.truncate(db.natural_features.rows() - 1);
+  EXPECT_THROW(store::export_patchdb(db, root_), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(root_));
 }
 
 TEST_F(StoreTest, ExportIsIdempotent) {

@@ -13,6 +13,7 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/augment.h"
@@ -45,6 +46,26 @@ core::LinkResult dense_link(const feature::FeatureMatrix& sec,
                             std::span<const double> weights) {
   const core::DistanceMatrix d = core::distance_matrix(sec, wild, weights);
   return core::nearest_link_search(d);
+}
+
+/// `rows` rows drawn from `distinct` small-integer vectors (entries in
+/// {0, 1, 2} over the first four dims, zero elsewhere), so rows repeat
+/// and distinct vectors also tie in distance — the shape Table I's
+/// count features give the pipeline.
+feature::FeatureMatrix duplicate_heavy(std::size_t rows, std::size_t distinct,
+                                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  feature::FeatureMatrix vocab(distinct);
+  for (std::size_t v = 0; v < distinct; ++v) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      vocab[v][j] = static_cast<double>(rng.uniform_int(0, 2));
+    }
+  }
+  feature::FeatureMatrix out(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    out.set_row(i, vocab[rng.index(distinct)]);
+  }
+  return out;
 }
 
 TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
@@ -127,8 +148,11 @@ TEST(StreamingLink, HeapExhaustedFallbackStillBitIdentical) {
 
   EXPECT_GT(stats.fallback_rescans, 0u);
   EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, sec.rows());
-  // Every rescan scores the whole pool through the blocked kernel.
-  EXPECT_EQ(stats.rescan_cells, stats.fallback_rescans * wild.rows());
+  // Every rescan scores each distinct pool column once through the
+  // blocked kernel; this pool's columns are all distinct.
+  EXPECT_EQ(stats.distinct_rows, 1u);
+  EXPECT_EQ(stats.distinct_cols, wild.rows());
+  EXPECT_EQ(stats.rescan_cells, stats.fallback_rescans * stats.distinct_cols);
   EXPECT_EQ(dense.candidate, stream.candidate);
   EXPECT_EQ(dense.total_distance, stream.total_distance);
 }
@@ -176,22 +200,122 @@ TEST(StreamingLink, RecordsObsCounters) {
   obs::MetricsRegistry registry;
   auto* previous = obs::install_registry(&registry);
 
-  const auto sec = random_features(8, 3);
-  const auto wild = random_features(300, 4);
+  // One duplicated security row and one duplicated pool column: the
+  // distinct-shape counters must see 7 x 299, not 8 x 300.
+  auto sec = random_features(8, 3);
+  sec.set_row(7, sec[2]);
+  auto wild = random_features(300, 4);
+  wild.set_row(299, wild[5]);
   core::StreamingLinkConfig config;
   config.tile_cols = 64;  // force several tiles
+  core::StreamingLinkStats stats;
   const core::LinkResult link =
-      core::streaming_nearest_link(sec, wild, config);
+      core::streaming_nearest_link(sec, wild, config, &stats);
   obs::install_registry(previous);
 
   ASSERT_EQ(link.candidate.size(), 8u);
   const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_GE(snap.counter("distance.tiles"), 5u);  // ceil(300/64)
+  EXPECT_GE(snap.counter("distance.tiles"), 5u);  // ceil(299/64)
   EXPECT_GT(snap.counter("distance.cells"), 0u);
+  EXPECT_LE(snap.counter("distance.cells"), 7u * 299u);
+  EXPECT_EQ(snap.counter("distance.cells"), stats.exact_cells);
+  EXPECT_EQ(snap.counter("nearest_link.distinct_rows"), 7u);
+  EXPECT_EQ(snap.counter("nearest_link.distinct_cols"), 299u);
+  EXPECT_EQ(stats.distinct_rows, 7u);
+  EXPECT_EQ(stats.distinct_cols, 299u);
+  EXPECT_EQ(snap.counter("nearest_link.heap_offers"), stats.heap_offers);
+  EXPECT_EQ(snap.counter("nearest_link.rescan_cells"), stats.rescan_cells);
+  EXPECT_EQ(stats.rescan_cells, stats.fallback_rescans * 299u);
   EXPECT_EQ(snap.counter("nearest_link.topk_hits") +
                 snap.counter("nearest_link.fallback_rescans"),
             8u);
   EXPECT_EQ(snap.counter("nearest_link.links"), 8u);
+}
+
+TEST(StreamingLink, DuplicateRowsAndColumnsMatchDenseBitwise) {
+  // A handful of distinct vectors repeated in both matrices: pass 1
+  // scores each distinct pair once and expands a distinct column to its
+  // members at heap insertion; identical rows share one heap. Every
+  // expansion must reproduce dense's (distance, column) tie order,
+  // including ties between different distinct vectors.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto sec = duplicate_heavy(30, 5, seed);
+    const auto wild = duplicate_heavy(240, 9, seed + 100);
+    const std::vector<double> w = core::maxabs_weights(sec, wild);
+    const core::LinkResult dense = dense_link(sec, wild, w);
+    for (const core::IndexKind kind :
+         {core::IndexKind::kExact, core::IndexKind::kCoarse}) {
+      for (const std::size_t k : {1UL, 2UL, 5UL, 24UL}) {
+        for (const std::size_t tile : {1UL, 64UL, 4096UL}) {
+          for (const std::size_t threads : {1UL, 3UL}) {
+            core::StreamingLinkConfig config;
+            config.top_k = k;
+            config.tile_cols = tile;
+            config.threads = threads;
+            config.index.kind = kind;
+            core::StreamingLinkStats stats;
+            const core::LinkResult stream =
+                core::streaming_nearest_link(sec, wild, w, config, &stats);
+            const auto label = [&] {
+              return "seed=" + std::to_string(seed) + " index=" +
+                     std::to_string(static_cast<int>(kind)) + " k=" +
+                     std::to_string(k) + " tile=" + std::to_string(tile) +
+                     " threads=" + std::to_string(threads);
+            };
+            EXPECT_EQ(dense.candidate, stream.candidate) << label();
+            EXPECT_EQ(dense.total_distance, stream.total_distance) << label();
+            EXPECT_LE(stats.distinct_rows, 5u) << label();
+            EXPECT_LE(stats.distinct_cols, 9u) << label();
+            // Members share their distinct column's distance, so an
+            // offer stops at the first member the heap rejects: at most
+            // k + 1 offers per scored distinct cell.
+            EXPECT_LE(stats.heap_offers, stats.exact_cells * (stats.top_k + 1))
+                << label();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamingLink, FallbackRescanTakesLowestUnusedDuplicate) {
+  // Twelve identical security rows against three pool vectors repeated
+  // in interleaved column order (column c holds vector c % 3; vector 0
+  // is the row itself). With k=1 the shared heap holds column 0 only,
+  // so every later row exhausts it and rescans; each rescan scores the
+  // three distinct columns and must take vector 0's lowest unused
+  // member — 3, 6, 9, ... — exactly as the dense first-win scan does.
+  const auto vocab = random_features(3, 404);
+  feature::FeatureMatrix wild(60);
+  for (std::size_t c = 0; c < wild.rows(); ++c) wild.set_row(c, vocab[c % 3]);
+  feature::FeatureMatrix sec(12);
+  for (std::size_t r = 0; r < sec.rows(); ++r) sec.set_row(r, vocab[0]);
+
+  const std::vector<double> w = core::maxabs_weights(sec, wild);
+  const core::LinkResult dense = dense_link(sec, wild, w);
+  std::vector<std::size_t> expected(sec.rows());
+  for (std::size_t r = 0; r < expected.size(); ++r) expected[r] = 3 * r;
+  ASSERT_EQ(dense.candidate, expected);
+
+  for (const core::IndexKind kind :
+       {core::IndexKind::kExact, core::IndexKind::kCoarse}) {
+    for (const std::size_t threads : {1UL, 3UL}) {
+      core::StreamingLinkConfig config;
+      config.top_k = 1;
+      config.threads = threads;
+      config.index.kind = kind;
+      core::StreamingLinkStats stats;
+      const core::LinkResult stream =
+          core::streaming_nearest_link(sec, wild, w, config, &stats);
+      EXPECT_EQ(stream.candidate, expected)
+          << "index=" << static_cast<int>(kind) << " threads=" << threads;
+      EXPECT_EQ(dense.total_distance, stream.total_distance);
+      EXPECT_EQ(stats.distinct_rows, 1u);
+      EXPECT_EQ(stats.distinct_cols, 3u);
+      EXPECT_GE(stats.fallback_rescans, sec.rows() - 1);
+      EXPECT_EQ(stats.rescan_cells % 3, 0u);
+    }
+  }
 }
 
 TEST(StreamingLink, MemoryCapShrinksKnobsButNotResults) {
