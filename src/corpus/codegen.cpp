@@ -112,9 +112,9 @@ std::vector<std::string> filler_statements(util::Rng& rng, const FunctionContext
 }
 
 std::vector<std::string> make_function(const FunctionContext& ctx,
-                                       const std::vector<std::string>& body) {
+                                       std::vector<std::string> body) {
   std::vector<std::string> out;
-  out.reserve(body.size() + 8);
+  out.reserve(body.size() + 9);
   out.push_back("static int " + ctx.func_name + "(struct " + ctx.ptr +
                 "_state *" + ctx.ptr + ", size_t " + ctx.len + ")");
   out.push_back("{");
@@ -123,32 +123,47 @@ std::vector<std::string> make_function(const FunctionContext& ctx,
   out.push_back("    int " + ctx.val + " = 0;");
   out.push_back("    int " + ctx.tmp + " = 0;");
   out.push_back("");
-  for (const std::string& line : body) {
-    out.push_back(line.empty() ? line : "    " + line);
+  for (std::string& line : body) {
+    if (!line.empty()) line.insert(0, "    ");
+    out.push_back(std::move(line));
   }
   out.push_back("    return " + ctx.val + ";");
   out.push_back("}");
   return out;
 }
 
-std::vector<std::string> make_file(
-    util::Rng& rng, const std::vector<std::vector<std::string>>& functions) {
-  std::vector<std::string> out;
-  out.push_back("#include <stdio.h>");
-  out.push_back("#include <stdlib.h>");
-  out.push_back("#include <string.h>");
-  if (rng.chance(0.5)) out.push_back("#include \"internal.h\"");
-  out.push_back("");
+FileVersions make_file(util::Rng& rng, std::span<const FunctionVersions> functions) {
+  static constexpr std::array<std::string_view, 8> kRetryDefines = {
+      "#define MAX_RETRIES 1", "#define MAX_RETRIES 2", "#define MAX_RETRIES 3",
+      "#define MAX_RETRIES 4", "#define MAX_RETRIES 5", "#define MAX_RETRIES 6",
+      "#define MAX_RETRIES 7", "#define MAX_RETRIES 8",
+  };
+  std::vector<std::string_view> header = {"#include <stdio.h>", "#include <stdlib.h>",
+                                          "#include <string.h>"};
+  if (rng.chance(0.5)) header.push_back("#include \"internal.h\"");
+  header.push_back("");
   if (rng.chance(0.4)) {
-    out.push_back("#define MAX_RETRIES " + std::to_string(1 + rng.index(8)));
-    out.push_back("");
+    header.push_back(kRetryDefines[rng.index(kRetryDefines.size())]);
+    header.push_back("");
   }
-  for (const auto& fn : functions) {
-    out.insert(out.end(), fn.begin(), fn.end());
-    out.push_back("");
-  }
-  if (!out.empty() && out.back().empty()) out.pop_back();
-  return out;
+
+  auto assemble = [&](bool after) {
+    std::size_t total = header.size();
+    for (const FunctionVersions& fn : functions) {
+      total += (after ? fn.after : fn.before)->size() + 1;
+    }
+    std::vector<std::string_view> out;
+    out.reserve(total);
+    out.insert(out.end(), header.begin(), header.end());
+    for (const FunctionVersions& fn : functions) {
+      const std::vector<std::string>& lines = after ? *fn.after : *fn.before;
+      out.insert(out.end(), lines.begin(), lines.end());
+      out.push_back("");
+    }
+    if (!out.empty() && out.back().empty()) out.pop_back();
+    return out;
+  };
+  return FileVersions{assemble(false), assemble(true)};
 }
 
 std::string draw_repo_name(util::Rng& rng) {

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -40,14 +42,29 @@ std::vector<std::string> filler_statements(util::Rng& rng, const FunctionContext
 
 /// Wrap body statements in a full function definition:
 /// `static int <name>(struct <field>_ctx *<ptr>, size_t <len>) { ... }`.
-/// Body lines get one level of indentation.
+/// Body lines get one level of indentation, added in place.
 std::vector<std::string> make_function(const FunctionContext& ctx,
-                                       const std::vector<std::string>& body);
+                                       std::vector<std::string> body);
+
+/// One function slot of a file in its BEFORE and AFTER versions. Both
+/// point at the same lines when the commit leaves the function alone.
+struct FunctionVersions {
+  const std::vector<std::string>* before = nullptr;
+  const std::vector<std::string>* after = nullptr;
+};
+
+/// Both versions of a file as views. Include-block lines view string
+/// constants; function lines view the functions passed to make_file,
+/// which must outlive these views.
+struct FileVersions {
+  std::vector<std::string_view> before;
+  std::vector<std::string_view> after;
+};
 
 /// A complete file: include block, a couple of declarations, then the
-/// given functions separated by blank lines.
-std::vector<std::string> make_file(util::Rng& rng,
-                                   const std::vector<std::vector<std::string>>& functions);
+/// given functions separated by blank lines. One draw of the include
+/// block serves both versions, so they differ only inside functions.
+FileVersions make_file(util::Rng& rng, std::span<const FunctionVersions> functions);
 
 /// Random identifiers for repositories/files.
 std::string draw_repo_name(util::Rng& rng);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -667,23 +668,36 @@ MutationResult make_mutation(util::Rng& rng, const FunctionContext& ctx,
                              PatchType type) {
   // Surround the changing core with shared filler so hunks sit inside a
   // realistic function, and reuse one filler sequence on both sides.
-  const Lines prefix = filler_statements(rng, ctx, 1 + rng.index(3));
-  const Lines suffix = filler_statements(rng, ctx, 1 + rng.index(3));
+  Lines prefix = filler_statements(rng, ctx, 1 + rng.index(3));
+  Lines suffix = filler_statements(rng, ctx, 1 + rng.index(3));
   BodyPair pair = make_body_pair(rng, ctx, type);
 
-  auto assemble = [&](const Lines& core) {
-    Lines body = prefix;
-    body.push_back("");
-    body.insert(body.end(), core.begin(), core.end());
-    body.push_back("");
-    body.insert(body.end(), suffix.begin(), suffix.end());
-    return make_function(ctx, body);
+  // prefix, blank, core, blank, suffix. The AFTER version is assembled
+  // last and takes the shared filler by move.
+  auto assemble = [&](Lines core, bool last) {
+    Lines body;
+    body.reserve(prefix.size() + core.size() + suffix.size() + 2);
+    auto take = [&body, last](Lines& lines) {
+      if (last) {
+        body.insert(body.end(), std::make_move_iterator(lines.begin()),
+                    std::make_move_iterator(lines.end()));
+      } else {
+        body.insert(body.end(), lines.begin(), lines.end());
+      }
+    };
+    take(prefix);
+    body.emplace_back();
+    body.insert(body.end(), std::make_move_iterator(core.begin()),
+                std::make_move_iterator(core.end()));
+    body.emplace_back();
+    take(suffix);
+    return make_function(ctx, std::move(body));
   };
 
   MutationResult result;
   result.type = type;
-  result.before = assemble(pair.before);
-  result.after = assemble(pair.after);
+  result.before = assemble(std::move(pair.before), false);
+  result.after = assemble(std::move(pair.after), true);
 
   // Signature-level types edit the first line of the AFTER version only.
   if (type == PatchType::kFuncDeclaration) {
@@ -695,7 +709,7 @@ MutationResult make_mutation(util::Rng& rng, const FunctionContext& ctx,
         util::replace_all(result.after[0], ")", ", unsigned flags)");
     result.message = "pass caller flags into " + ctx.func_name;
   } else {
-    result.message = pair.message;
+    result.message = std::move(pair.message);
   }
   if (result.message.empty()) result.message = "update " + ctx.func_name;
   return result;

@@ -24,6 +24,10 @@ class Oracle {
   void add(const std::string& commit_hash, GroundTruth truth);
   void add(const CommitRecord& record) { add(record.patch.commit, record.truth); }
 
+  /// Make room for `commits` truths, so registering a whole world does
+  /// not rehash on the way.
+  void reserve(std::size_t commits) { truths_.reserve(commits); }
+
   bool known(const std::string& commit_hash) const {
     return truths_.contains(commit_hash);
   }

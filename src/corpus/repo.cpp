@@ -1,6 +1,7 @@
 #include "corpus/repo.h"
 
 #include <array>
+#include <iterator>
 
 #include "diff/myers.h"
 #include "diff/render.h"
@@ -36,63 +37,88 @@ std::string draw_date(util::Rng& rng) {
   return buf;
 }
 
-/// One touched C file: neighbors + the mutated target function.
+/// The commit id over the patch's diffs, message and a hex salt drawn
+/// from `rng`.
+std::string commit_id(const diff::Patch& patch, util::Rng& rng) {
+  char salt[16];
+  util::write_hex(rng(), salt);
+  return diff::commit_id_of(patch.files, patch.message, std::string_view(salt, sizeof(salt)));
+}
+
+/// One touched C file: neighbors + the mutated target function. Each
+/// function is built once into `functions`; both versions of the file
+/// are views over them, sharing every slot but the target's and a
+/// bundled cleanup's.
 struct BuiltFile {
+  BuiltFile() = default;
+  BuiltFile(BuiltFile&&) = default;
+  BuiltFile& operator=(BuiltFile&&) = default;
+  // A copy's views would still point into the original's functions.
+  BuiltFile(const BuiltFile&) = delete;
+  BuiltFile& operator=(const BuiltFile&) = delete;
+
   std::string path;
-  std::vector<std::string> before;
-  std::vector<std::string> after;
+  std::vector<std::vector<std::string>> functions;
+  FileVersions lines;
 };
 
 BuiltFile build_target_file(util::Rng& rng, PatchType type,
                             const CommitOptions& options, std::string* message) {
   const FunctionContext ctx = draw_context(rng);
-  const MutationResult mutation = make_mutation(rng, ctx, type);
-  if (message != nullptr && message->empty()) *message = mutation.message;
+  MutationResult mutation = make_mutation(rng, ctx, type);
+  if (message != nullptr && message->empty()) *message = std::move(mutation.message);
 
   const std::size_t span = options.max_neighbor_functions + 1 -
                            options.min_neighbor_functions;
   const std::size_t neighbors =
       options.min_neighbor_functions + (span > 0 ? rng.index(span) : 0);
 
-  std::vector<std::vector<std::string>> before_funcs;
-  std::vector<std::vector<std::string>> after_funcs;
+  BuiltFile file;
+  // Room for the target's two versions, every neighbor and one bundled
+  // cleanup: `slots` points into this storage, so it must not reallocate.
+  std::vector<std::vector<std::string>>& functions = file.functions;
+  functions.reserve(neighbors + 3);
+  std::vector<FunctionVersions> slots;
+  slots.reserve(neighbors + 1);
+  auto store = [&functions](std::vector<std::string> fn) {
+    functions.push_back(std::move(fn));
+    return &functions.back();
+  };
+
   const std::size_t target_slot = neighbors == 0 ? 0 : rng.index(neighbors + 1);
   const bool bundle = is_security_type(type) && neighbors > 0 &&
                       rng.chance(options.bundle_cleanup_prob);
   bool bundled = false;
   for (std::size_t slot = 0; slot <= neighbors; ++slot) {
     if (slot == target_slot) {
-      before_funcs.push_back(mutation.before);
-      after_funcs.push_back(mutation.after);
+      const auto* before = store(std::move(mutation.before));
+      slots.push_back({before, store(std::move(mutation.after))});
+      continue;
+    }
+    const FunctionContext other = draw_context(rng);
+    std::vector<std::string> body = filler_statements(rng, other, 3 + rng.index(5));
+    if (bundle && !bundled) {
+      // Unrelated drive-by cleanup riding along with the fix.
+      std::vector<std::string> touched = body;
+      std::vector<std::string> extra = filler_statements(rng, other, 1 + rng.index(2));
+      touched.insert(touched.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.index(touched.size() + 1)),
+                     std::make_move_iterator(extra.begin()),
+                     std::make_move_iterator(extra.end()));
+      const auto* before = store(make_function(other, std::move(body)));
+      slots.push_back({before, store(make_function(other, std::move(touched)))});
+      bundled = true;
     } else {
-      const FunctionContext other = draw_context(rng);
-      std::vector<std::string> body = filler_statements(rng, other, 3 + rng.index(5));
-      const std::vector<std::string> fn = make_function(other, body);
-      before_funcs.push_back(fn);
-      if (bundle && !bundled) {
-        // Unrelated drive-by cleanup riding along with the fix.
-        std::vector<std::string> touched = body;
-        const std::vector<std::string> extra =
-            filler_statements(rng, other, 1 + rng.index(2));
-        touched.insert(touched.begin() + static_cast<std::ptrdiff_t>(
-                                             rng.index(touched.size() + 1)),
-                       extra.begin(), extra.end());
-        after_funcs.push_back(make_function(other, touched));
-        bundled = true;
-      } else {
-        after_funcs.push_back(fn);
-      }
+      const auto* fn = store(make_function(other, std::move(body)));
+      slots.push_back({fn, fn});
     }
   }
 
-  BuiltFile file;
   file.path = draw_file_name(rng);
-  // One rng must shape both versions identically outside the mutation, so
-  // generate the file wrapper once and splice.
+  // The file wrapper draws from its own rng, seeded here, once for both
+  // versions.
   util::Rng wrapper_rng(rng());
-  util::Rng wrapper_rng_copy = wrapper_rng;
-  file.before = make_file(wrapper_rng, before_funcs);
-  file.after = make_file(wrapper_rng_copy, after_funcs);
+  file.lines = make_file(wrapper_rng, slots);
   return file;
 }
 
@@ -132,6 +158,7 @@ CommitRecord make_commit(util::Rng& rng, const std::string& repo_name,
 
   std::string message;
   std::vector<BuiltFile> files;
+  files.reserve(2);
   files.push_back(build_target_file(rng, type, options, &message));
   if (rng.chance(options.multi_file_prob)) {
     files.push_back(build_target_file(rng, type, options, nullptr));
@@ -143,22 +170,24 @@ CommitRecord make_commit(util::Rng& rng, const std::string& repo_name,
   patch.date = draw_date(rng);
 
   for (const BuiltFile& file : files) {
-    diff::FileDiff fd = diff::diff_file(file.path, file.before, file.after);
+    const std::vector<std::string_view>& before = file.lines.before;
+    const std::vector<std::string_view>& after = file.lines.after;
+    diff::FileDiff fd = diff::diff_file(file.path, before, after);
     // Stamp hunk sections with the enclosing function name like git does;
     // cheap approximation: use the first function signature above the hunk.
     for (diff::Hunk& hunk : fd.hunks) {
-      for (std::size_t line = std::min(hunk.old_start, file.before.size());
-           line-- > 0;) {
-        const std::string& text = file.before[line];
-        if (text.rfind("static ", 0) == 0) {
-          hunk.section = text;
+      for (std::size_t line = std::min(hunk.old_start, before.size()); line-- > 0;) {
+        if (before[line].starts_with("static ")) {
+          hunk.section = before[line];
           break;
         }
       }
     }
     patch.files.push_back(std::move(fd));
     if (options.keep_snapshots) {
-      record.snapshots.push_back(FileSnapshot{file.path, file.before, file.after});
+      record.snapshots.push_back(FileSnapshot{
+          file.path, std::vector<std::string>(before.begin(), before.end()),
+          std::vector<std::string>(after.begin(), after.end())});
     }
   }
 
@@ -191,16 +220,12 @@ CommitRecord make_commit(util::Rng& rng, const std::string& repo_name,
     patch.message = std::string(kEuphemisms[rng.index(kEuphemisms.size())]);
     if (rng.chance(0.6)) {
       // often still naming the touched function, like every other commit
-      const std::size_t in_pos = patch.message.size();
-      (void)in_pos;
       patch.message += " in " + (message.empty() ? "core" : message.substr(
                                      message.find_last_of(' ') + 1));
     }
   }
 
-  patch.commit =
-      util::commit_id(diff::render_file_diffs(patch.files) + patch.message +
-                      util::to_hex(rng()));
+  patch.commit = commit_id(patch, rng);
   return record;
 }
 
@@ -227,8 +252,7 @@ CommitRecord make_version_bump_commit(util::Rng& rng,
         make_function(ctx, filler_statements(rng, ctx, 4 + rng.index(6)));
     patch.files.push_back(diff::diff_file(draw_file_name(rng), old_fn, new_fn));
   }
-  patch.commit = util::commit_id(diff::render_file_diffs(patch.files) +
-                                 patch.message + util::to_hex(rng()));
+  patch.commit = commit_id(patch, rng);
   return record;
 }
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "diff/render.h"
+#include "obs/trace.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 
@@ -53,33 +54,39 @@ World build_world(const WorldConfig& config) {
   std::vector<CommitRecord> nvd_commits(config.nvd_security);
   std::vector<std::uint64_t> nvd_seeds(config.nvd_security);
   for (auto& s : nvd_seeds) s = rng();
-  util::default_pool().parallel_for(
-      config.nvd_security, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          util::Rng local(nvd_seeds[i]);
-          const std::size_t type_idx = local.weighted(
-              std::span(config.nvd_types.data(), config.nvd_types.size()));
-          const PatchType type = security_types()[type_idx];
-          const std::string& repo =
-              world.repo_names[local.index(world.repo_names.size())];
-          nvd_commits[i] = make_commit(local, repo, type, nvd_commit);
-        }
-      });
+  {
+    PATCHDB_TRACE_SPAN("world.nvd_fabricate");
+    util::default_pool().parallel_for(
+        config.nvd_security, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            util::Rng local(nvd_seeds[i]);
+            const std::size_t type_idx = local.weighted(
+                std::span(config.nvd_types.data(), config.nvd_types.size()));
+            const PatchType type = security_types()[type_idx];
+            const std::string& repo =
+                world.repo_names[local.index(world.repo_names.size())];
+            nvd_commits[i] = make_commit(local, repo, type, nvd_commit);
+          }
+        });
+  }
 
   world.wild.resize(config.wild_pool);
   std::vector<std::uint64_t> wild_seeds(config.wild_pool);
   for (auto& s : wild_seeds) s = rng();
-  util::default_pool().parallel_for(
-      config.wild_pool, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          util::Rng local(wild_seeds[i]);
-          const PatchType type = draw_patch_type(local, config.wild_types,
-                                                 config.wild_security_rate);
-          const std::string& repo =
-              world.repo_names[local.index(world.repo_names.size())];
-          world.wild[i] = make_commit(local, repo, type, wild_commit);
-        }
-      });
+  {
+    PATCHDB_TRACE_SPAN("world.wild_fabricate");
+    util::default_pool().parallel_for(
+        config.wild_pool, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            util::Rng local(wild_seeds[i]);
+            const PatchType type = draw_patch_type(local, config.wild_types,
+                                                   config.wild_security_rate);
+            const std::string& repo =
+                world.repo_names[local.index(world.repo_names.size())];
+            world.wild[i] = make_commit(local, repo, type, wild_commit);
+          }
+        });
+  }
 
   // ------------------------------------------------------------------
   // 2. Publish every commit's .patch page on the simulated web and
@@ -87,90 +94,101 @@ World build_world(const WorldConfig& config) {
   // ------------------------------------------------------------------
   // NVD-side pages are published in step 3 (after CVE ids exist, so the
   // referenced commit messages can mention them the way maintainers do).
-  for (const CommitRecord& record : nvd_commits) world.oracle.add(record);
-  for (const CommitRecord& record : world.wild) {
-    if (config.publish_wild_pages) {
+  {
+    PATCHDB_TRACE_SPAN("world.publish");
+    // Every fabricated commit, plus at most one version bump per NVD entry.
+    world.oracle.reserve(2 * nvd_commits.size() + world.wild.size());
+    for (const CommitRecord& record : nvd_commits) world.oracle.add(record);
+    for (const CommitRecord& record : world.wild) {
+      if (config.publish_wild_pages) {
+        world.remote.put(
+            github_commit_url(record.repo, record.patch.commit) + ".patch",
+            diff::render_patch(record.patch));
+      }
+      world.oracle.add(record);
+    }
+
+    // ------------------------------------------------------------------
+    // 3. Build the NVD index with injected dirt, publishing the pages
+    //    its links point at.
+    // ------------------------------------------------------------------
+    for (std::size_t i = 0; i < nvd_commits.size(); ++i) {
+      CommitRecord& record = nvd_commits[i];
+      NvdEntry entry;
+      entry.cve_id = draw_cve_id(rng, i, &entry.year);
+
+      // Maintainers of CVE-tracked fixes usually say so in the message.
+      if (rng.chance(0.55)) {
+        record.patch.message += "\n\nFixes " + entry.cve_id;
+      } else if (rng.chance(0.3)) {
+        record.patch.message = "security: " + record.patch.message;
+      }
       world.remote.put(
           github_commit_url(record.repo, record.patch.commit) + ".patch",
           diff::render_patch(record.patch));
+      entry.cwe = cwe_for_type(static_cast<int>(record.truth.type));
+      // CVSS base scores cluster by fix pattern: memory-safety bugs skew
+      // high, validation/logic issues mid-range.
+      const bool memory_safety = record.truth.type == PatchType::kBoundCheck ||
+                                 record.truth.type == PatchType::kNullCheck ||
+                                 record.truth.type == PatchType::kMoveStatement;
+      const double base = memory_safety ? 7.5 : 5.5;
+      entry.cvss = std::min(10.0, std::max(1.0, rng.normal(base, 1.2)));
+      entry.references.push_back("https://seclists.example.org/advisory/" +
+                                 std::to_string(i));
+
+      if (rng.chance(config.entry_missing_link_prob)) {
+        // Entry indexed without any patch link: unreachable by the crawler.
+        world.nvd_entries.push_back(std::move(entry));
+        continue;
+      }
+
+      std::string url = github_commit_url(record.repo, record.patch.commit);
+      if (rng.chance(config.wrong_link_prob)) {
+        // Wrong link: points at a version-bump page instead of the fix.
+        CommitRecord bump = make_version_bump_commit(rng, record.repo);
+        url = github_commit_url(bump.repo, bump.patch.commit);
+        world.remote.put(url + ".patch", diff::render_patch(bump.patch));
+        world.oracle.add(bump);
+      } else if (rng.chance(config.dead_link_prob)) {
+        // Dead link: never published on the remote.
+        url = github_commit_url(record.repo, "deadbeef" + std::to_string(i));
+      }
+      entry.references.push_back(url);
+      entry.patch_tagged.push_back(url);
+      world.nvd_entries.push_back(std::move(entry));
     }
-    world.oracle.add(record);
   }
 
   // ------------------------------------------------------------------
-  // 3. Build the NVD index with injected dirt, then crawl it.
+  // 4. Crawl the index the way the paper's collector does.
   // ------------------------------------------------------------------
-  std::unordered_map<std::string, const CommitRecord*> by_hash;
-  for (const CommitRecord& record : nvd_commits) {
+  PATCHDB_TRACE_SPAN("world.crawl");
+  std::unordered_map<std::string, CommitRecord*> by_hash;
+  for (CommitRecord& record : nvd_commits) {
     by_hash[record.patch.commit] = &record;
   }
-
-  for (std::size_t i = 0; i < nvd_commits.size(); ++i) {
-    CommitRecord& record = nvd_commits[i];
-    NvdEntry entry;
-    entry.cve_id = draw_cve_id(rng, i, &entry.year);
-
-    // Maintainers of CVE-tracked fixes usually say so in the message.
-    if (rng.chance(0.55)) {
-      record.patch.message += "\n\nFixes " + entry.cve_id;
-    } else if (rng.chance(0.3)) {
-      record.patch.message = "security: " + record.patch.message;
-    }
-    world.remote.put(
-        github_commit_url(record.repo, record.patch.commit) + ".patch",
-        diff::render_patch(record.patch));
-    entry.cwe = cwe_for_type(static_cast<int>(record.truth.type));
-    // CVSS base scores cluster by fix pattern: memory-safety bugs skew
-    // high, validation/logic issues mid-range.
-    const bool memory_safety = record.truth.type == PatchType::kBoundCheck ||
-                               record.truth.type == PatchType::kNullCheck ||
-                               record.truth.type == PatchType::kMoveStatement;
-    const double base = memory_safety ? 7.5 : 5.5;
-    entry.cvss = std::min(10.0, std::max(1.0, rng.normal(base, 1.2)));
-    entry.references.push_back("https://seclists.example.org/advisory/" +
-                               std::to_string(i));
-
-    if (rng.chance(config.entry_missing_link_prob)) {
-      // Entry indexed without any patch link: unreachable by the crawler.
-      world.nvd_entries.push_back(std::move(entry));
-      continue;
-    }
-
-    std::string url = github_commit_url(record.repo, record.patch.commit);
-    if (rng.chance(config.wrong_link_prob)) {
-      // Wrong link: points at a version-bump page instead of the fix.
-      CommitRecord bump = make_version_bump_commit(rng, record.repo);
-      url = github_commit_url(bump.repo, bump.patch.commit);
-      world.remote.put(url + ".patch", diff::render_patch(bump.patch));
-      world.oracle.add(bump);
-    } else if (rng.chance(config.dead_link_prob)) {
-      // Dead link: never published on the remote.
-      url = github_commit_url(record.repo, "deadbeef" + std::to_string(i));
-    }
-    entry.references.push_back(url);
-    entry.patch_tagged.push_back(url);
-    world.nvd_entries.push_back(std::move(entry));
-  }
-
   NvdCrawler crawler(world.remote);
-  const std::vector<CrawledPatch> crawled = crawler.crawl(world.nvd_entries);
+  std::vector<CrawledPatch> crawled = crawler.crawl(world.nvd_entries);
   world.crawl_stats = crawler.stats();
 
   // Keep the crawled form (post C/C++ filter) but reattach snapshots and
   // ground truth from the fabricated record. Wrong-link pages yield
   // version-bump commits; the paper keeps them (up to 1% noise), and so
-  // do we — their truth says non-security.
+  // do we — their truth says non-security. Each fabricated record backs
+  // at most one crawled page (one NVD entry links to it), so its repo
+  // and snapshots move over.
   world.nvd_security.reserve(crawled.size());
-  for (const CrawledPatch& cp : crawled) {
+  for (CrawledPatch& cp : crawled) {
     CommitRecord record;
-    record.patch = cp.patch;
-    const auto it = by_hash.find(cp.patch.commit);
+    record.patch = std::move(cp.patch);
+    const auto it = by_hash.find(record.patch.commit);
     if (it != by_hash.end()) {
       record.truth = it->second->truth;
-      record.repo = it->second->repo;
-      record.snapshots = it->second->snapshots;
+      record.repo = std::move(it->second->repo);
+      record.snapshots = std::move(it->second->snapshots);
     } else {
-      record.truth = world.oracle.truth(cp.patch.commit);
+      record.truth = world.oracle.truth(record.patch.commit);
     }
     world.nvd_security.push_back(std::move(record));
   }

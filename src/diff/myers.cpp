@@ -1,6 +1,7 @@
 #include "diff/myers.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace patchdb::diff {
 
@@ -13,39 +14,48 @@ struct Edit {
   std::size_t index;  // index into old (kKeep/kRemove) or new (kAdd)
 };
 
-/// Myers greedy O((N+M)D) edit script.
-std::vector<Edit> edit_script(const std::vector<std::string>& a,
-                              const std::vector<std::string>& b) {
+using Lines = std::span<const std::string_view>;
+
+/// Offset of step d's block in the trace: block d holds the furthest x
+/// on diagonals k = -d, -d+2, ..., d (slot j = (k + d) / 2), the only
+/// diagonals step d writes and step d + 1 reads.
+constexpr std::size_t block_start(std::size_t d) noexcept { return d * (d + 1) / 2; }
+
+/// Myers greedy O((N+M)D) edit script, written into `script`. The trace
+/// keeps (D+1)(D+2)/2 entries instead of a copy of the whole
+/// 2(N+M)+1-entry diagonal array per step; every comparison reads the
+/// same values, so the script is the same.
+void edit_script(Lines a, Lines b, std::vector<Edit>& script) {
+  script.clear();
   const std::size_t n = a.size();
   const std::size_t m = b.size();
   const std::size_t max_d = n + m;
-  if (max_d == 0) return {};
+  if (max_d == 0) return;
 
-  // v[k + offset] = furthest x on diagonal k after d steps.
-  const std::size_t offset = max_d;
-  std::vector<std::size_t> v(2 * max_d + 1, 0);
-  std::vector<std::vector<std::size_t>> trace;
-
+  thread_local std::vector<std::size_t> trace;
+  trace.clear();
   std::size_t final_d = 0;
   bool found = false;
   for (std::size_t d = 0; d <= max_d && !found; ++d) {
-    trace.push_back(v);
-    for (std::int64_t k = -static_cast<std::int64_t>(d);
-         k <= static_cast<std::int64_t>(d); k += 2) {
-      const std::size_t ki = static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
+    const std::size_t prev = d == 0 ? 0 : block_start(d - 1);
+    const std::size_t cur = block_start(d);
+    trace.resize(block_start(d + 1));
+    for (std::size_t j = 0; j <= d; ++j) {
+      const std::int64_t k = 2 * static_cast<std::int64_t>(j) - static_cast<std::int64_t>(d);
       std::size_t x;
-      if (k == -static_cast<std::int64_t>(d) ||
-          (k != static_cast<std::int64_t>(d) && v[ki - 1] < v[ki + 1])) {
-        x = v[ki + 1];  // move down (insert from b)
+      if (d == 0) {
+        x = 0;
+      } else if (j == 0 || (j != d && trace[prev + j - 1] < trace[prev + j])) {
+        x = trace[prev + j];  // move down (insert from b)
       } else {
-        x = v[ki - 1] + 1;  // move right (delete from a)
+        x = trace[prev + j - 1] + 1;  // move right (delete from a)
       }
       std::size_t y = static_cast<std::size_t>(static_cast<std::int64_t>(x) - k);
       while (x < n && y < m && a[x] == b[y]) {
         ++x;
         ++y;
       }
-      v[ki] = x;
+      trace[cur + j] = x;
       if (x >= n && y >= m) {
         final_d = d;
         found = true;
@@ -55,23 +65,21 @@ std::vector<Edit> edit_script(const std::vector<std::string>& a,
   }
 
   // Backtrack through the trace to recover the script.
-  std::vector<Edit> script;
   std::int64_t x = static_cast<std::int64_t>(n);
   std::int64_t y = static_cast<std::int64_t>(m);
   for (std::size_t d = final_d; d > 0; --d) {
-    const auto& prev = trace[d];
+    const std::size_t prev = block_start(d - 1);
     const std::int64_t k = x - y;
-    const std::size_t ki = static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
+    const std::size_t j = static_cast<std::size_t>((k + static_cast<std::int64_t>(d)) / 2);
     std::int64_t prev_k;
-    if (k == -static_cast<std::int64_t>(d) ||
-        (k != static_cast<std::int64_t>(d) && prev[ki - 1] < prev[ki + 1])) {
+    std::int64_t prev_x;
+    if (j == 0 || (j != d && trace[prev + j - 1] < trace[prev + j])) {
       prev_k = k + 1;
+      prev_x = static_cast<std::int64_t>(trace[prev + j]);
     } else {
       prev_k = k - 1;
+      prev_x = static_cast<std::int64_t>(trace[prev + j - 1]);
     }
-    const std::size_t prev_ki =
-        static_cast<std::size_t>(prev_k + static_cast<std::int64_t>(offset));
-    const std::int64_t prev_x = static_cast<std::int64_t>(prev[prev_ki]);
     const std::int64_t prev_y = prev_x - prev_k;
 
     // Snake (diagonal keeps) back to the branch point.
@@ -102,15 +110,18 @@ std::vector<Edit> edit_script(const std::vector<std::string>& a,
     --y;
   }
   std::reverse(script.begin(), script.end());
-  return script;
+}
+
+std::vector<std::string_view> views_of(const std::vector<std::string>& lines) {
+  return std::vector<std::string_view>(lines.begin(), lines.end());
 }
 
 }  // namespace
 
-std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
-                             const std::vector<std::string>& new_lines,
+std::vector<Hunk> diff_lines(Lines old_lines, Lines new_lines,
                              const DiffOptions& options) {
-  const std::vector<Edit> script = edit_script(old_lines, new_lines);
+  thread_local std::vector<Edit> script;
+  edit_script(old_lines, new_lines, script);
 
   // Group the script into hunks: runs of changes separated by more than
   // 2*context keep-lines. Walk the script tracking both line counters.
@@ -136,10 +147,9 @@ std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
     hunk.old_start = h_old + 1;
     hunk.new_start = h_new + 1;
     for (std::size_t c = 0; c < lead; ++c) {
-      hunk.lines.push_back(Line{LineKind::kContext, old_lines[h_old + c]});
+      hunk.lines.push_back(Line{LineKind::kContext, std::string(old_lines[h_old + c])});
     }
 
-    std::size_t trailing_keeps = 0;
     while (i < script.size()) {
       const Edit& e = script[i];
       if (e.kind == EditKind::kKeep) {
@@ -150,35 +160,27 @@ std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
           ++run;
         }
         const bool at_end = (i + run >= script.size());
-        if (at_end || run > 2 * options.context) {
-          const std::size_t keep = std::min(options.context, run);
-          for (std::size_t c = 0; c < keep; ++c) {
-            hunk.lines.push_back(Line{LineKind::kContext, old_lines[old_line]});
-            ++old_line;
-            ++new_line;
-            ++i;
-          }
-          trailing_keeps = keep;
-          break;
-        }
-        // Short gap: absorb all keeps into the hunk and continue.
-        for (std::size_t c = 0; c < run; ++c) {
-          hunk.lines.push_back(Line{LineKind::kContext, old_lines[old_line]});
+        const bool closes = at_end || run > 2 * options.context;
+        // A closing run contributes `context` lines; a short gap is
+        // absorbed whole and the hunk continues.
+        const std::size_t keep = closes ? std::min(options.context, run) : run;
+        for (std::size_t c = 0; c < keep; ++c) {
+          hunk.lines.push_back(Line{LineKind::kContext, std::string(old_lines[old_line])});
           ++old_line;
           ++new_line;
           ++i;
         }
+        if (closes) break;
       } else if (e.kind == EditKind::kRemove) {
-        hunk.lines.push_back(Line{LineKind::kRemoved, old_lines[e.index]});
+        hunk.lines.push_back(Line{LineKind::kRemoved, std::string(old_lines[e.index])});
         ++old_line;
         ++i;
       } else {
-        hunk.lines.push_back(Line{LineKind::kAdded, new_lines[e.index]});
+        hunk.lines.push_back(Line{LineKind::kAdded, std::string(new_lines[e.index])});
         ++new_line;
         ++i;
       }
     }
-    (void)trailing_keeps;
 
     hunk.old_count = 0;
     hunk.new_count = 0;
@@ -195,8 +197,13 @@ std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
   return hunks;
 }
 
-FileDiff diff_file(const std::string& path, const std::vector<std::string>& old_lines,
-                   const std::vector<std::string>& new_lines,
+std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
+                             const std::vector<std::string>& new_lines,
+                             const DiffOptions& options) {
+  return diff_lines(views_of(old_lines), views_of(new_lines), options);
+}
+
+FileDiff diff_file(const std::string& path, Lines old_lines, Lines new_lines,
                    const DiffOptions& options) {
   FileDiff fd;
   fd.old_path = path;
@@ -205,6 +212,12 @@ FileDiff diff_file(const std::string& path, const std::vector<std::string>& old_
   if (!old_lines.empty() && new_lines.empty()) fd.change = ChangeKind::kDelete;
   fd.hunks = diff_lines(old_lines, new_lines, options);
   return fd;
+}
+
+FileDiff diff_file(const std::string& path, const std::vector<std::string>& old_lines,
+                   const std::vector<std::string>& new_lines,
+                   const DiffOptions& options) {
+  return diff_file(path, views_of(old_lines), views_of(new_lines), options);
 }
 
 }  // namespace patchdb::diff

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "diff/patch.h"
 
@@ -14,5 +15,11 @@ std::string render_file_diffs(const std::vector<FileDiff>& files);
 
 /// Render the full commit: header (commit/author/date/message) + body.
 std::string render_patch(const Patch& patch);
+
+/// The commit id of generated content:
+/// util::commit_id(render_file_diffs(files) + message + salt), rendered
+/// into a reused per-thread buffer and hashed in one pass.
+std::string commit_id_of(const std::vector<FileDiff>& files, std::string_view message,
+                         std::string_view salt);
 
 }  // namespace patchdb::diff

@@ -8,7 +8,6 @@
 #include "lang/parser.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace patchdb::synth {
@@ -147,9 +146,8 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
       if (!fd.hunks.empty()) patch.files.push_back(std::move(fd));
     }
     if (patch.files.empty()) continue;
-    patch.commit = util::commit_id(diff::render_file_diffs(patch.files) +
-                                   synthetic.origin_commit +
-                                   std::to_string(static_cast<int>(job.variant)));
+    patch.commit = diff::commit_id_of(patch.files, synthetic.origin_commit,
+                                      std::to_string(static_cast<int>(job.variant)));
     synthetic.patch = std::move(patch);
     out.push_back(std::move(synthetic));
   }

@@ -3,6 +3,8 @@
 // oracle, and world assembly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "diff/parse.h"
 #include "diff/render.h"
 #include "lang/parser.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -89,9 +92,12 @@ TEST(Codegen, FileHasIncludesAndFunctions) {
   util::Rng rng(3);
   const corpus::FunctionContext ctx = corpus::draw_context(rng);
   const auto fn = corpus::make_function(ctx, corpus::filler_statements(rng, ctx, 3));
-  const auto file = corpus::make_file(rng, {fn, fn});
-  EXPECT_EQ(file[0], "#include <stdio.h>");
-  const lang::ParsedFile parsed = lang::parse_file(file);
+  const std::vector<corpus::FunctionVersions> slots = {{&fn, &fn}, {&fn, &fn}};
+  const corpus::FileVersions file = corpus::make_file(rng, slots);
+  EXPECT_EQ(file.before[0], "#include <stdio.h>");
+  EXPECT_EQ(file.before, file.after);
+  const lang::ParsedFile parsed =
+      lang::parse_file(std::vector<std::string>(file.before.begin(), file.before.end()));
   EXPECT_EQ(parsed.functions.size(), 2u);
 }
 
@@ -395,6 +401,94 @@ TEST(World, DeterministicForSameSeed) {
   for (std::size_t i = 0; i < a.wild.size(); ++i) {
     EXPECT_EQ(a.wild[i].patch.commit, b.wild[i].patch.commit);
   }
+}
+
+// FNV-1a over everything a world hands downstream: rendered patches,
+// ground truth, repos, snapshots, NVD entries and crawl statistics.
+// Fields are separated so that moving bytes between them changes it.
+class Digest {
+ public:
+  void add(std::string_view text) {
+    hash_ = util::fnv1a64(text, hash_);
+    hash_ = util::fnv1a64("\x1f", hash_);
+  }
+  void add(std::size_t value) { add(std::to_string(value)); }
+  void add(const corpus::CommitRecord& record) {
+    add(diff::render_patch(record.patch));
+    add(record.repo);
+    add(static_cast<std::size_t>(record.truth.is_security));
+    add(static_cast<std::size_t>(record.truth.type));
+    for (const corpus::FileSnapshot& snapshot : record.snapshots) {
+      add(snapshot.path);
+      for (const std::string& line : snapshot.before) add(line);
+      add("|");
+      for (const std::string& line : snapshot.after) add(line);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = util::fnv1a64("");
+};
+
+std::uint64_t world_digest(std::uint64_t seed) {
+  corpus::WorldConfig config;
+  config.repos = 5;
+  config.nvd_security = 40;
+  config.wild_pool = 400;
+  config.seed = seed;
+  const corpus::World world = corpus::build_world(config);
+  Digest digest;
+  for (const corpus::CommitRecord& record : world.nvd_security) digest.add(record);
+  for (const corpus::CommitRecord& record : world.wild) digest.add(record);
+  for (const corpus::NvdEntry& entry : world.nvd_entries) {
+    digest.add(entry.cve_id);
+    for (const std::string& url : entry.references) digest.add(url);
+    digest.add("|");
+    for (const std::string& url : entry.patch_tagged) digest.add(url);
+    char cvss[32];
+    std::snprintf(cvss, sizeof(cvss), "%.17g", entry.cvss);
+    digest.add(cvss);
+    digest.add(entry.cwe);
+    digest.add(static_cast<std::size_t>(entry.year));
+  }
+  const corpus::CrawlStats& crawl = world.crawl_stats;
+  for (const std::size_t count :
+       {crawl.entries_total, crawl.entries_without_patch_link, crawl.links_fetched,
+        crawl.links_dead, crawl.parse_failures, crawl.dropped_non_cpp_files,
+        crawl.dropped_empty_after_filter, crawl.patches_collected,
+        world.remote.page_count(), world.oracle.size()}) {
+    digest.add(count);
+  }
+  return digest.value();
+}
+
+// Byte-level pins: the simulator must keep producing exactly these worlds
+// (every RNG draw in its order), not merely the same world twice.
+TEST(World, GoldenDigest) {
+  EXPECT_EQ(world_digest(42), 0x955661f52d9b4f70ULL);
+  EXPECT_EQ(world_digest(7919), 0xee8f88726bb756b7ULL);
+}
+
+// The commit shapes a small world rarely draws: every patch type with
+// snapshots, a bundled cleanup and a second file, plus version bumps.
+TEST(Repo, GoldenCommits) {
+  util::Rng rng(1021);
+  corpus::CommitOptions options;
+  options.keep_snapshots = true;
+  options.bundle_cleanup_prob = 1.0;
+  options.multi_file_prob = 0.5;
+  options.euphemize_prob = 0.5;
+  Digest digest;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto kinds : {corpus::security_types(), corpus::nonsecurity_types()}) {
+      for (const PatchType type : kinds) {
+        digest.add(corpus::make_commit(rng, "libgolden", type, options));
+      }
+    }
+    digest.add(corpus::make_version_bump_commit(rng, "libgolden"));
+  }
+  EXPECT_EQ(digest.value(), 0xd7a02ce34950a649ULL);
 }
 
 TEST(World, ZeroReposRejected) {

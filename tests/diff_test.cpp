@@ -3,7 +3,10 @@
 // inversion, Myers diff properties, and the C/C++ filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diff/apply.h"
@@ -12,6 +15,7 @@
 #include "diff/parse.h"
 #include "diff/patch.h"
 #include "diff/render.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -333,6 +337,227 @@ INSTANTIATE_TEST_SUITE_P(
     RandomFiles, MyersRoundTrip,
     ::testing::Combine(::testing::Range<std::uint64_t>(0, 40),
                        ::testing::Values<std::size_t>(0, 1, 3)));
+
+// Reference oracle: the original Myers implementation, which copies the
+// whole 2(N+M)+1 diagonal array into the trace on every step, plus its
+// hunk grouper. The production diff must give exactly these hunks; the
+// round-trip property above cannot see a changed tie-break, because any
+// minimal script applies cleanly.
+namespace reference {
+
+enum class EditKind { kKeep, kRemove, kAdd };
+
+struct Edit {
+  EditKind kind;
+  std::size_t index;
+};
+
+std::vector<Edit> edit_script(const std::vector<std::string>& a,
+                              const std::vector<std::string>& b) {
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  const std::size_t max_d = n + m;
+  if (max_d == 0) return {};
+  const std::size_t offset = max_d;
+  std::vector<std::size_t> v(2 * max_d + 1, 0);
+  std::vector<std::vector<std::size_t>> trace;
+  std::size_t final_d = 0;
+  bool found = false;
+  for (std::size_t d = 0; d <= max_d && !found; ++d) {
+    trace.push_back(v);
+    for (std::int64_t k = -static_cast<std::int64_t>(d);
+         k <= static_cast<std::int64_t>(d); k += 2) {
+      const std::size_t ki = static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
+      std::size_t x;
+      if (k == -static_cast<std::int64_t>(d) ||
+          (k != static_cast<std::int64_t>(d) && v[ki - 1] < v[ki + 1])) {
+        x = v[ki + 1];
+      } else {
+        x = v[ki - 1] + 1;
+      }
+      std::size_t y = static_cast<std::size_t>(static_cast<std::int64_t>(x) - k);
+      while (x < n && y < m && a[x] == b[y]) {
+        ++x;
+        ++y;
+      }
+      v[ki] = x;
+      if (x >= n && y >= m) {
+        final_d = d;
+        found = true;
+        break;
+      }
+    }
+  }
+  std::vector<Edit> script;
+  std::int64_t x = static_cast<std::int64_t>(n);
+  std::int64_t y = static_cast<std::int64_t>(m);
+  for (std::size_t d = final_d; d > 0; --d) {
+    const auto& prev = trace[d];
+    const std::int64_t k = x - y;
+    const std::size_t ki = static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
+    std::int64_t prev_k;
+    if (k == -static_cast<std::int64_t>(d) ||
+        (k != static_cast<std::int64_t>(d) && prev[ki - 1] < prev[ki + 1])) {
+      prev_k = k + 1;
+    } else {
+      prev_k = k - 1;
+    }
+    const std::size_t prev_ki =
+        static_cast<std::size_t>(prev_k + static_cast<std::int64_t>(offset));
+    const std::int64_t prev_x = static_cast<std::int64_t>(prev[prev_ki]);
+    const std::int64_t prev_y = prev_x - prev_k;
+    while (x > prev_x && y > prev_y) {
+      script.push_back(Edit{EditKind::kKeep, static_cast<std::size_t>(x - 1)});
+      --x;
+      --y;
+    }
+    if (x == prev_x) {
+      script.push_back(Edit{EditKind::kAdd, static_cast<std::size_t>(y - 1)});
+      --y;
+    } else {
+      script.push_back(Edit{EditKind::kRemove, static_cast<std::size_t>(x - 1)});
+      --x;
+    }
+  }
+  for (; x > 0 && y > 0; --x, --y) {
+    script.push_back(Edit{EditKind::kKeep, static_cast<std::size_t>(x - 1)});
+  }
+  for (; x > 0; --x) {
+    script.push_back(Edit{EditKind::kRemove, static_cast<std::size_t>(x - 1)});
+  }
+  for (; y > 0; --y) {
+    script.push_back(Edit{EditKind::kAdd, static_cast<std::size_t>(y - 1)});
+  }
+  std::reverse(script.begin(), script.end());
+  return script;
+}
+
+std::vector<diff::Hunk> diff_lines(const std::vector<std::string>& old_lines,
+                                   const std::vector<std::string>& new_lines,
+                                   std::size_t context) {
+  const std::vector<Edit> script = edit_script(old_lines, new_lines);
+  std::vector<diff::Hunk> hunks;
+  std::size_t i = 0;
+  std::size_t old_line = 0;
+  std::size_t new_line = 0;
+  while (i < script.size()) {
+    while (i < script.size() && script[i].kind == EditKind::kKeep) {
+      ++old_line;
+      ++new_line;
+      ++i;
+    }
+    if (i >= script.size()) break;
+    diff::Hunk hunk;
+    const std::size_t lead = std::min(context, old_line);
+    const std::size_t h_old = old_line - lead;
+    const std::size_t h_new = new_line - lead;
+    hunk.old_start = h_old + 1;
+    hunk.new_start = h_new + 1;
+    for (std::size_t c = 0; c < lead; ++c) {
+      hunk.lines.push_back(diff::Line{LineKind::kContext, old_lines[h_old + c]});
+    }
+    while (i < script.size()) {
+      const Edit& e = script[i];
+      if (e.kind == EditKind::kKeep) {
+        std::size_t run = 0;
+        while (i + run < script.size() && script[i + run].kind == EditKind::kKeep) ++run;
+        if (i + run >= script.size() || run > 2 * context) {
+          for (std::size_t c = 0; c < std::min(context, run); ++c) {
+            hunk.lines.push_back(diff::Line{LineKind::kContext, old_lines[old_line]});
+            ++old_line;
+            ++new_line;
+            ++i;
+          }
+          break;
+        }
+        for (std::size_t c = 0; c < run; ++c) {
+          hunk.lines.push_back(diff::Line{LineKind::kContext, old_lines[old_line]});
+          ++old_line;
+          ++new_line;
+          ++i;
+        }
+      } else if (e.kind == EditKind::kRemove) {
+        hunk.lines.push_back(diff::Line{LineKind::kRemoved, old_lines[e.index]});
+        ++old_line;
+        ++i;
+      } else {
+        hunk.lines.push_back(diff::Line{LineKind::kAdded, new_lines[e.index]});
+        ++new_line;
+        ++i;
+      }
+    }
+    for (const diff::Line& l : hunk.lines) {
+      if (l.kind != LineKind::kAdded) ++hunk.old_count;
+      if (l.kind != LineKind::kRemoved) ++hunk.new_count;
+    }
+    if (hunk.old_count == 0) hunk.old_start = h_old;
+    if (hunk.new_count == 0) hunk.new_start = h_new;
+    hunks.push_back(std::move(hunk));
+  }
+  return hunks;
+}
+
+}  // namespace reference
+
+// Exact hunks, not just a valid diff: random pairs over a tiny line
+// alphabet (so the greedy search meets many equal-length ties), through
+// both the owned-string and the view entry points.
+TEST(Myers, MatchesReferenceScript) {
+  util::Rng rng(20210621);
+  auto random_lines = [&rng](std::size_t max_lines, std::size_t alphabet) {
+    std::vector<std::string> lines(rng.index(max_lines + 1));
+    for (std::string& line : lines) {
+      const std::size_t symbol = rng.index(alphabet);
+      line = symbol == 0 ? std::string() : "l" + std::to_string(symbol);
+    }
+    return lines;
+  };
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t alphabet = 2 + rng.index(4);
+    const std::vector<std::string> a = random_lines(30, alphabet);
+    std::vector<std::string> b;
+    if (rng.chance(0.5)) {
+      b = random_lines(30, alphabet);  // unrelated: many ties
+    } else {
+      b = a;  // a few edits: realistic diffs among duplicate lines
+      for (std::size_t e = rng.index(5); e > 0; --e) {
+        const std::size_t pos = rng.index(b.size() + 1);
+        if (pos < b.size() && rng.chance(0.5)) {
+          b.erase(b.begin() + static_cast<std::ptrdiff_t>(pos));
+        } else {
+          b.insert(b.begin() + static_cast<std::ptrdiff_t>(pos),
+                   "l" + std::to_string(rng.index(alphabet)));
+        }
+      }
+    }
+    const std::vector<std::string_view> a_views(a.begin(), a.end());
+    const std::vector<std::string_view> b_views(b.begin(), b.end());
+    for (const std::size_t context : {0u, 1u, 3u}) {
+      const std::vector<diff::Hunk> expected = reference::diff_lines(a, b, context);
+      ASSERT_EQ(diff::diff_lines(a, b, {context}), expected)
+          << "trial " << trial << " context " << context;
+      ASSERT_EQ(diff::diff_lines(a_views, b_views, {context}), expected)
+          << "trial " << trial << " context " << context;
+      compared += expected.size();
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+// The streamed id equals hashing the concatenated text, also when the
+// per-thread buffer still holds a longer earlier rendering.
+TEST(Render, CommitIdOfMatchesConcatenatedText) {
+  const std::vector<std::string> a = {"int x;", "int y;", "int z;", "return x;"};
+  const std::vector<std::string> b = {"int x;", "long y;", "int z;", "", "return x;"};
+  const std::vector<diff::FileDiff> big = {diff::diff_file("a.c", a, b),
+                                           diff::diff_file("b.c", b, a)};
+  const std::vector<diff::FileDiff> small = {diff::diff_file("c.c", {"p"}, {"q"})};
+  for (const auto* files : {&big, &small, &big}) {
+    EXPECT_EQ(diff::commit_id_of(*files, "fix overflow", "00ff"),
+              util::commit_id(diff::render_file_diffs(*files) + "fix overflow" + "00ff"));
+  }
+}
 
 TEST(Myers, IdenticalFilesYieldNoHunks) {
   const std::vector<std::string> a = {"x", "y"};

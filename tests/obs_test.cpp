@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/patchdb.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -354,6 +355,52 @@ TEST(Report, PoolMetricsFlowThroughSession) {
   ASSERT_NE(h, nullptr);
   EXPECT_GT(h->count, 0u);
   EXPECT_DOUBLE_EQ(report.metrics.gauge("pool.threads"), 2.0);
+}
+
+// ------------------------------------------------------ build spans --
+
+// The world stage of a build is attributed in the build's own trace:
+// one build.world root whose children split fabrication, publication and
+// the crawl, then a separate root for releasing the world.
+TEST(BuildTrace, WorldStagesAndReleaseAreSpans) {
+  core::BuildOptions options;
+  options.world.repos = 3;
+  options.world.nvd_security = 20;
+  options.world.wild_pool = 200;
+  options.augment.max_rounds = 1;
+  options.run_synthesis = false;
+  std::vector<obs::SpanRecord> spans;
+  {
+    obs::ObsSession session("build_world_spans_test");
+    if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+    core::build_patchdb(options);
+    spans = session.report().spans;
+  }
+  auto only = [&spans](const std::string& name) {
+    const obs::SpanRecord* found = nullptr;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name != name) continue;
+      EXPECT_EQ(found, nullptr) << "more than one " << name;
+      found = &span;
+    }
+    return found;
+  };
+  const obs::SpanRecord* world = only("build.world");
+  const obs::SpanRecord* release = only("build.world_release");
+  ASSERT_NE(world, nullptr);
+  ASSERT_NE(release, nullptr);
+  EXPECT_EQ(world->depth, 0u);
+  EXPECT_EQ(release->depth, 0u);
+  EXPECT_EQ(release->thread_index, world->thread_index);
+  EXPECT_GE(release->start_us, world->start_us + world->wall_us);
+
+  std::vector<std::string> children;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent_id == world->span_id) children.push_back(span.name);
+  }
+  const std::vector<std::string> expected = {"world.nvd_fabricate", "world.wild_fabricate",
+                                             "world.publish", "world.crawl"};
+  EXPECT_EQ(children, expected);
 }
 
 // ------------------------------------------------- disabled fast path --

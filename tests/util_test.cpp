@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -671,6 +672,26 @@ TEST(Hash, Fnv1aStableAndSensitive) {
   EXPECT_EQ(util::fnv1a64("abc"), util::fnv1a64("abc"));
   EXPECT_NE(util::fnv1a64("abc"), util::fnv1a64("abd"));
   EXPECT_NE(util::fnv1a64("abc"), util::fnv1a64("abc", 123));
+}
+
+// The fused hasher is the three seeded FNV-1a lanes, whether the content
+// arrives whole or in pieces.
+TEST(Hash, CommitIdIsThreeFnvLanes) {
+  for (const std::string_view content :
+       {std::string_view(), std::string_view("content"),
+        std::string_view("diff --git a/x.c b/x.c\n@@ -1,1 +1,2 @@\n a\n+b\n")}) {
+    const std::string expected =
+        util::to_hex(util::fnv1a64(content)) +
+        util::to_hex(util::fnv1a64(content, 0x84222325cbf29ce4ULL)) +
+        util::to_hex(util::fnv1a64(content, 0x9e3779b97f4a7c15ULL)).substr(0, 8);
+    EXPECT_EQ(util::commit_id(content), expected);
+    const std::size_t half = content.size() / 2;
+    EXPECT_EQ(util::CommitIdHasher()
+                  .update(content.substr(0, half))
+                  .update(content.substr(half))
+                  .id(),
+              expected);
+  }
 }
 
 TEST(Hash, CommitIdShapeAndDeterminism) {
