@@ -47,28 +47,22 @@ std::string random_code_line(util::Rng& rng, std::size_t tokens) {
   return out;
 }
 
+// Hunk-sized inputs: a hunk side's text is ≈150 chars at p90 and at
+// most ≈350 in the reference world.
 void BM_Levenshtein(benchmark::State& state) {
   util::Rng rng(1);
-  const std::string a = random_code_line(rng, static_cast<std::size_t>(state.range(0)));
-  const std::string b = random_code_line(rng, static_cast<std::size_t>(state.range(0)));
+  const auto chars = static_cast<std::size_t>(state.range(0));
+  std::string a = random_code_line(rng, chars / 20 + 1);
+  std::string b = random_code_line(rng, chars / 20 + 1);
+  a.resize(chars);
+  b.resize(chars);
   for (auto _ : state) {
     benchmark::DoNotOptimize(util::levenshtein(a, b));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.size() + b.size()));
 }
-BENCHMARK(BM_Levenshtein)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_LevenshteinBounded(benchmark::State& state) {
-  util::Rng rng(2);
-  const std::string a = random_code_line(rng, 64);
-  const std::string b = random_code_line(rng, 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        util::levenshtein_bounded(a, b, static_cast<std::size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_LevenshteinBounded)->Arg(8)->Arg(64);
+BENCHMARK(BM_Levenshtein)->Arg(16)->Arg(64)->Arg(150)->Arg(350);
 
 void BM_Lexer(benchmark::State& state) {
   util::Rng rng(3);

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "analysis/analyze.h"
 #include "lang/abstract.h"
 #include "lang/lexer.h"
 #include "lang/taxonomy.h"
+#include "obs/metrics.h"
 #include "util/levenshtein.h"
 #include "util/thread_pool.h"
 
@@ -71,6 +75,71 @@ void write_quad(FeatureVector& v, std::size_t base, double added, double removed
   v[base + 3] = added - removed;
 }
 
+/// One side (the removed or the added lines) of a patch, built hunk by
+/// hunk. `joined` is each hunk's text followed by '\n', the text the
+/// syntax counts read; `tokens` is its lex, built one hunk at a time so
+/// the same tokens also feed that hunk's abstraction.
+struct Side {
+  std::string joined;
+  std::vector<lang::Token> tokens;
+  std::size_t next_line = 1;
+  bool last_open = false;  // the latest hunk ended inside a token
+  bool exact = true;       // tokens == lex(joined) so far
+
+  void clear() {
+    joined.clear();
+    tokens.clear();
+    next_line = 1;
+    last_open = false;
+    exact = true;
+  }
+
+  /// Append the hunk's `kind` lines. Returns their text, a view into
+  /// `joined` valid until the next append; their tokens start at
+  /// tokens[first].
+  std::string_view append(const diff::Hunk& hunk, diff::LineKind kind,
+                          std::size_t& first) {
+    // A hunk that ended inside a token (an open block comment, a
+    // continued directive, a literal ending in a backslash) would have
+    // run into this one in a lex of the joined text.
+    if (last_open) exact = false;
+    const std::size_t start = joined.size();
+    bool any = false;
+    for (const diff::Line& line : hunk.lines) {
+      if (line.kind != kind) continue;
+      if (any) joined += '\n';
+      joined += line.text;
+      any = true;
+    }
+    const std::size_t length = joined.size() - start;
+    joined += '\n';
+    const std::string_view piece = std::string_view(joined).substr(start);
+    first = tokens.size();
+    last_open = !lang::lex_append(piece, tokens, next_line);
+    next_line += static_cast<std::size_t>(std::count(piece.begin(), piece.end(), '\n'));
+    return piece.substr(0, length);
+  }
+
+  lang::SyntaxCounts counts() const {
+    if (exact) return lang::count_syntax(tokens);
+    PATCHDB_COUNTER_ADD("feature.side_relexes", 1);
+    return lang::count_syntax(joined);
+  }
+};
+
+/// Per-thread buffers reused across extract() calls.
+struct Buffers {
+  Side removed;
+  Side added;
+  std::string removed_abs;
+  std::string added_abs;
+};
+
+Buffers& local_buffers() {
+  thread_local Buffers buffers;
+  return buffers;
+}
+
 }  // namespace
 
 std::span<const std::string_view> feature_names() { return kNames; }
@@ -96,9 +165,11 @@ std::span<const std::string_view> feature_names(FeatureSpace space) {
 FeatureVector extract(const diff::Patch& patch, const RepoContext& repo) {
   FeatureVector v{};
 
-  // Gather the added and removed text of the whole patch, and per hunk.
-  std::string all_added;
-  std::string all_removed;
+  Buffers& buffers = local_buffers();
+  Side& removed_side = buffers.removed;
+  Side& added_side = buffers.added;
+  removed_side.clear();
+  added_side.clear();
   std::size_t added_chars = 0;
   std::size_t removed_chars = 0;
 
@@ -112,23 +183,25 @@ FeatureVector extract(const diff::Patch& patch, const RepoContext& repo) {
 
   for (const diff::FileDiff& fd : patch.files) {
     for (const diff::Hunk& hunk : fd.hunks) {
-      const std::string removed = hunk.removed_text();
-      const std::string added = hunk.added_text();
-      all_removed += removed;
-      all_removed += '\n';
-      all_added += added;
-      all_added += '\n';
+      std::size_t removed_first = 0;
+      std::size_t added_first = 0;
+      const std::string_view removed =
+          removed_side.append(hunk, diff::LineKind::kRemoved, removed_first);
+      const std::string_view added =
+          added_side.append(hunk, diff::LineKind::kAdded, added_first);
       added_chars += added.size();
       removed_chars += removed.size();
 
       if (!(removed.empty() && added.empty())) {
         lev_raw.push_back(static_cast<double>(util::levenshtein(removed, added)));
-        const std::string removed_abs = lang::abstract_code(removed);
-        const std::string added_abs = lang::abstract_code(added);
-        lev_abs.push_back(
-            static_cast<double>(util::levenshtein(removed_abs, added_abs)));
+        lang::abstract_tokens(std::span(removed_side.tokens).subspan(removed_first),
+                              buffers.removed_abs);
+        lang::abstract_tokens(std::span(added_side.tokens).subspan(added_first),
+                              buffers.added_abs);
+        lev_abs.push_back(static_cast<double>(
+            util::levenshtein(buffers.removed_abs, buffers.added_abs)));
         if (removed == added) ++same_raw;
-        if (removed_abs == added_abs) ++same_abs;
+        if (buffers.removed_abs == buffers.added_abs) ++same_abs;
       }
 
       if (!hunk.section.empty()) {
@@ -141,8 +214,8 @@ FeatureVector extract(const diff::Patch& patch, const RepoContext& repo) {
     }
   }
 
-  const lang::SyntaxCounts added = lang::count_syntax(all_added);
-  const lang::SyntaxCounts removed = lang::count_syntax(all_removed);
+  const lang::SyntaxCounts added = added_side.counts();
+  const lang::SyntaxCounts removed = removed_side.counts();
 
   const double added_lines = static_cast<double>(patch.added_lines());
   const double removed_lines = static_cast<double>(patch.removed_lines());

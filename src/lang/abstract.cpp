@@ -6,10 +6,13 @@
 
 namespace patchdb::lang {
 
-std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
-                                         const AbstractOptions& options) {
-  std::vector<std::string> out;
-  out.reserve(tokens.size());
+void abstract_tokens(std::span<const Token> tokens, std::string& out,
+                     const AbstractOptions& options) {
+  out.clear();
+  auto append = [&out](std::string_view symbol) {
+    if (!out.empty()) out += ' ';
+    out += symbol;
+  };
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     switch (t.kind) {
@@ -17,27 +20,17 @@ std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
         const bool is_call = options.distinguish_calls && i + 1 < tokens.size() &&
                              tokens[i + 1].kind == TokenKind::kPunctuator &&
                              tokens[i + 1].text == "(";
-        out.emplace_back(is_call ? "FUNC" : "ID");
+        append(is_call ? "FUNC" : "ID");
         break;
       }
-      case TokenKind::kNumber:
-        out.emplace_back("NUM");
-        break;
-      case TokenKind::kString:
-        out.emplace_back("STR");
-        break;
-      case TokenKind::kCharLiteral:
-        out.emplace_back("CHR");
-        break;
+      case TokenKind::kNumber: append("NUM"); break;
+      case TokenKind::kString: append("STR"); break;
+      case TokenKind::kCharLiteral: append("CHR"); break;
       case TokenKind::kComment:
-      case TokenKind::kPreprocessor:
-        break;  // dropped
-      default:
-        out.push_back(t.text);
-        break;
+      case TokenKind::kPreprocessor: break;  // dropped
+      default: append(t.text); break;
     }
   }
-  return out;
 }
 
 std::string alpha_abstract_code(std::string_view source) {
@@ -69,13 +62,8 @@ std::string alpha_abstract_code(std::string_view source) {
 }
 
 std::string abstract_code(std::string_view source, const AbstractOptions& options) {
-  const std::vector<Token> tokens = lex(source);
-  const std::vector<std::string> abstracted = abstract_tokens(tokens, options);
   std::string out;
-  for (std::size_t i = 0; i < abstracted.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += abstracted[i];
-  }
+  abstract_tokens(lex(source), out, options);
   return out;
 }
 

@@ -5,9 +5,9 @@
 // hunks under both views (features 49-56).
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "lang/token.h"
 
@@ -20,11 +20,12 @@ struct AbstractOptions {
   bool distinguish_calls = true;
 };
 
-/// Abstract a token sequence in place order: identifiers -> "ID"/"FUNC",
+/// Abstract a token sequence in order: identifiers -> "ID"/"FUNC",
 /// numbers -> "NUM", strings -> "STR", char literals -> "CHR"; keywords,
 /// operators and punctuation unchanged; comments/preprocessor dropped.
-std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
-                                         const AbstractOptions& options = {});
+/// Replaces `out` with the symbols joined by single spaces.
+void abstract_tokens(std::span<const Token> tokens, std::string& out,
+                     const AbstractOptions& options = {});
 
 /// Lex then abstract, returning one space-joined canonical string. This
 /// is the "after token abstraction" text used for the Levenshtein

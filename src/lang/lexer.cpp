@@ -87,7 +87,9 @@ constexpr std::array<std::string_view, 36> kOperators3Plus = {
 constexpr std::string_view kSingleOps = "&|^~?.";
 constexpr std::string_view kPunct = "(){}[];,:#@";
 
-void scan_string(Scanner& s, char quote, std::string& out) {
+/// Scan a string or char literal; true when its closing quote or the end
+/// of its line ended it, false when the input ran out first.
+bool scan_string(Scanner& s, char quote, std::string& out) {
   out += s.advance();  // opening quote
   while (!s.done()) {
     const char c = s.advance();
@@ -96,15 +98,19 @@ void scan_string(Scanner& s, char quote, std::string& out) {
       out += s.advance();  // escaped char, even if it is the quote
       continue;
     }
-    if (c == quote || c == '\n') break;  // unterminated at EOL: stop
+    if (c == quote || c == '\n') return true;  // unterminated at EOL: stop
   }
+  return false;
 }
 
 }  // namespace
 
-std::vector<Token> lex(std::string_view source, const LexOptions& options) {
-  std::vector<Token> tokens;
-  Scanner s{source};
+bool lex_append(std::string_view source, std::vector<Token>& tokens,
+                std::size_t first_line, const LexOptions& options) {
+  Scanner s{source, 0, first_line, 1};
+  // Whether the last token ran into the end of the input, so that more
+  // input could have continued it.
+  bool open = false;
 
   while (!s.done()) {
     const char c = s.peek();
@@ -113,8 +119,10 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
 
     if (std::isspace(static_cast<unsigned char>(c))) {
       s.advance();
+      open = false;
       continue;
     }
+    bool closed = false;  // the token ended on its own terminator
 
     // Preprocessor directive: only when # begins the (trimmed) line.
     if (c == '#' && tok_col == 1) {
@@ -132,18 +140,13 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
       if (options.keep_preprocessor) {
         tokens.push_back(Token{TokenKind::kPreprocessor, std::move(text), tok_line, tok_col});
       }
-      continue;
-    }
-
-    if (c == '/' && s.peek(1) == '/') {
+    } else if (c == '/' && s.peek(1) == '/') {
       std::string text;
       while (!s.done() && s.peek() != '\n') text += s.advance();
       if (options.keep_comments) {
         tokens.push_back(Token{TokenKind::kComment, std::move(text), tok_line, tok_col});
       }
-      continue;
-    }
-    if (c == '/' && s.peek(1) == '*') {
+    } else if (c == '/' && s.peek(1) == '*') {
       std::string text;
       text += s.advance();
       text += s.advance();
@@ -151,6 +154,7 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
         if (s.peek() == '*' && s.peek(1) == '/') {
           text += s.advance();
           text += s.advance();
+          closed = true;
           break;
         }
         text += s.advance();
@@ -158,20 +162,14 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
       if (options.keep_comments) {
         tokens.push_back(Token{TokenKind::kComment, std::move(text), tok_line, tok_col});
       }
-      continue;
-    }
-
-    if (is_ident_start(c)) {
+    } else if (is_ident_start(c)) {
       std::string text;
       while (!s.done() && is_ident_cont(s.peek())) text += s.advance();
       const TokenKind kind =
           is_keyword(text) ? TokenKind::kKeyword : TokenKind::kIdentifier;
       tokens.push_back(Token{kind, std::move(text), tok_line, tok_col});
-      continue;
-    }
-
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(s.peek(1))))) {
+    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
+               (c == '.' && std::isdigit(static_cast<unsigned char>(s.peek(1))))) {
       std::string text;
       bool seen_exp = false;
       while (!s.done()) {
@@ -188,48 +186,41 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
         }
       }
       tokens.push_back(Token{TokenKind::kNumber, std::move(text), tok_line, tok_col});
-      continue;
-    }
-
-    if (c == '"') {
+    } else if (c == '"' || c == '\'') {
       std::string text;
-      scan_string(s, '"', text);
-      tokens.push_back(Token{TokenKind::kString, std::move(text), tok_line, tok_col});
-      continue;
-    }
-    if (c == '\'') {
-      std::string text;
-      scan_string(s, '\'', text);
-      tokens.push_back(Token{TokenKind::kCharLiteral, std::move(text), tok_line, tok_col});
-      continue;
-    }
-
-    // Operators: try longest match from the table.
-    bool matched = false;
-    for (std::string_view op : kOperators3Plus) {
-      if (op.front() == c && source.substr(s.pos, op.size()) == op) {
-        for (std::size_t i = 0; i < op.size(); ++i) s.advance();
-        tokens.push_back(Token{TokenKind::kOperator, std::string(op), tok_line, tok_col});
-        matched = true;
-        break;
+      closed = scan_string(s, c, text);
+      tokens.push_back(Token{c == '"' ? TokenKind::kString : TokenKind::kCharLiteral,
+                             std::move(text), tok_line, tok_col});
+    } else {
+      // Operators: try longest match from the table.
+      bool matched = false;
+      for (std::string_view op : kOperators3Plus) {
+        if (op.front() == c && source.substr(s.pos, op.size()) == op) {
+          for (std::size_t i = 0; i < op.size(); ++i) s.advance();
+          tokens.push_back(Token{TokenKind::kOperator, std::string(op), tok_line, tok_col});
+          matched = true;
+          break;
+        }
+      }
+      if (!matched) {
+        s.advance();
+        TokenKind kind = TokenKind::kUnknown;
+        if (kSingleOps.find(c) != std::string_view::npos) {
+          kind = TokenKind::kOperator;
+        } else if (kPunct.find(c) != std::string_view::npos) {
+          kind = TokenKind::kPunctuator;
+        }
+        tokens.push_back(Token{kind, std::string(1, c), tok_line, tok_col});
       }
     }
-    if (matched) continue;
-
-    if (kSingleOps.find(c) != std::string_view::npos) {
-      s.advance();
-      tokens.push_back(Token{TokenKind::kOperator, std::string(1, c), tok_line, tok_col});
-      continue;
-    }
-    if (kPunct.find(c) != std::string_view::npos) {
-      s.advance();
-      tokens.push_back(Token{TokenKind::kPunctuator, std::string(1, c), tok_line, tok_col});
-      continue;
-    }
-
-    s.advance();
-    tokens.push_back(Token{TokenKind::kUnknown, std::string(1, c), tok_line, tok_col});
+    open = s.done() && !closed;
   }
+  return !open;
+}
+
+std::vector<Token> lex(std::string_view source, const LexOptions& options) {
+  std::vector<Token> tokens;
+  lex_append(source, tokens, 1, options);
   return tokens;
 }
 

@@ -1,11 +1,14 @@
 #include "store/export.h"
 
+#include <array>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "diff/parse.h"
 #include "diff/render.h"
 #include "feature/features.h"
+#include "obs/trace.h"
 #include "store/io.h"
 #include "util/hash.h"
 #include "util/table.h"
@@ -15,6 +18,11 @@ namespace patchdb::store {
 namespace fs = std::filesystem;
 
 namespace {
+
+/// `store.export`'s child spans: one per segment, in kComponents order.
+constexpr std::array<std::string_view, kComponents.size()> kSegmentSpans = {
+    "store.export.nvd", "store.export.wild", "store.export.nonsecurity",
+    "store.export.synthetic"};
 
 /// Render `patch` onto the end of its component's segment and add its
 /// manifest row, whose length and checksum cover exactly those bytes.
@@ -56,6 +64,7 @@ void export_records(const std::vector<corpus::CommitRecord>& records,
 }  // namespace
 
 ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
+  PATCHDB_TRACE_SPAN("store.export");
   // features.csv rows for every natural patch are the ones the build
   // already extracted, in component order.
   const std::vector<corpus::CommitRecord>* components[] = {
@@ -92,6 +101,7 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   // next is rendered, so one segment's bytes are in memory at a time.
   std::size_t first_row = 0;
   for (std::size_t c = 0; c < std::size(components); ++c) {
+    PATCHDB_TRACE_SPAN(kSegmentSpans[c]);
     std::string segment;
     export_records(*components[c], c, rows, first_row, segment, manifest, features);
     atomic_write_file(root / segment_name(c), segment);
@@ -99,28 +109,33 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   }
   stats.feature_rows = first_row;
 
-  std::string segment;
-  for (const synth::SyntheticPatch& s : db.synthetic) {
-    ManifestRow row;
-    row.component = kSyntheticComponent;
-    row.is_security = s.truth.is_security;
-    row.type = s.truth.type;
-    row.origin = s.origin_commit;
-    row.variant = static_cast<int>(s.variant);
-    row.modified_after = s.modified_after;
-    append_patch(s.patch, std::move(row), segment, manifest);
+  {
+    PATCHDB_TRACE_SPAN(kSegmentSpans[kSyntheticComponent]);
+    std::string segment;
+    for (const synth::SyntheticPatch& s : db.synthetic) {
+      ManifestRow row;
+      row.component = kSyntheticComponent;
+      row.is_security = s.truth.is_security;
+      row.type = s.truth.type;
+      row.origin = s.origin_commit;
+      row.variant = static_cast<int>(s.variant);
+      row.modified_after = s.modified_after;
+      append_patch(s.patch, std::move(row), segment, manifest);
+    }
+    atomic_write_file(root / segment_name(kSyntheticComponent), segment);
   }
-  atomic_write_file(root / segment_name(kSyntheticComponent), segment);
   stats.patches_written = first_row + db.synthetic.size();
 
   // The manifest is the commit point: it lands last, durably, so an
   // interrupted export never publishes a manifest naming absent bytes.
+  PATCHDB_TRACE_SPAN("store.export.tables");
   atomic_write_file(root / "features.csv", with_checksum_trailer(std::move(features)));
   atomic_write_file(root / "manifest.csv", with_checksum_trailer(std::move(manifest)));
   return stats;
 }
 
 LoadedPatchDb load_patchdb(const fs::path& root) {
+  PATCHDB_TRACE_SPAN("store.load");
   const ProblemSink fail = [](const std::string& problem) {
     throw std::runtime_error(problem);
   };

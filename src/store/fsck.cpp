@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "obs/trace.h"
 #include "store/checkpoint.h"
 #include "store/io.h"
 #include "store/layout.h"
@@ -13,6 +14,7 @@ namespace patchdb::store {
 namespace fs = std::filesystem;
 
 FsckReport fsck_dataset(const fs::path& root) {
+  PATCHDB_TRACE_SPAN("store.fsck");
   FsckReport report;
   report.root = root;
   const ProblemSink record = [&report](const std::string& problem) {

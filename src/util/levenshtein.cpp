@@ -1,68 +1,91 @@
 #include "util/levenshtein.h"
 
-#include <algorithm>
-#include <limits>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace patchdb::util {
 
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+/// Per-thread kernel state. `peq[c * words + w]` has bit i set when
+/// pattern byte 64·w + i equals c; it is all zero between calls, so a
+/// call sets and clears only the m bits its pattern needs.
+struct Kernel {
+  std::vector<std::uint64_t> peq;
+  std::vector<std::uint64_t> vp;  // vertical +1 deltas of the current column
+  std::vector<std::uint64_t> vn;  // vertical -1 deltas
+};
+
+Kernel& local_kernel() {
+  thread_local Kernel kernel;
+  return kernel;
+}
+
+std::size_t byte(char c) { return static_cast<unsigned char>(c); }
+
+}  // namespace
+
 std::size_t levenshtein(std::string_view a, std::string_view b) {
-  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string
-  if (b.empty()) return a.size();
+  // A common prefix or suffix never changes the distance.
+  while (!a.empty() && !b.empty() && a.front() == b.front()) {
+    a.remove_prefix(1);
+    b.remove_prefix(1);
+  }
+  while (!a.empty() && !b.empty() && a.back() == b.back()) {
+    a.remove_suffix(1);
+    b.remove_suffix(1);
+  }
+  if (a.size() < b.size()) std::swap(a, b);  // b is the pattern, the shorter
+  const std::size_t m = b.size();
+  if (m == 0) return a.size();
 
-  // Single-row DP over the shorter string.
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  const std::size_t words = (m + kWordBits - 1) / kWordBits;
+  Kernel& k = local_kernel();
+  if (k.peq.size() < 256 * words) k.peq.resize(256 * words, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    k.peq[byte(b[i]) * words + i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+  }
+  k.vp.assign(words, ~std::uint64_t{0});
+  k.vn.assign(words, 0);
+  std::uint64_t* const vp = k.vp.data();
+  std::uint64_t* const vn = k.vn.data();
+  const std::uint64_t last = std::uint64_t{1} << ((m - 1) % kWordBits);
 
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t prev_diag = row[0];  // dp[i-1][0]
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t prev_row = row[j];  // dp[i-1][j]
-      const std::size_t subst = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, subst});
-      prev_diag = prev_row;
+  // One DP column per text byte. Word w holds rows 64·w+1 .. 64·w+64;
+  // it takes the horizontal delta leaving the word above it as the
+  // delta of the row just above its first (+1 into word 0, since row 0
+  // of the DP is 0, 1, 2, ...). The last word's delta at row m moves
+  // the distance.
+  std::size_t distance = m;
+  for (const char c : a) {
+    const std::uint64_t* const eq = &k.peq[byte(c) * words];
+    std::uint64_t hp_in = 1;
+    std::uint64_t hn_in = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t x = eq[w] | hn_in;
+      const std::uint64_t d0 = (((x & vp[w]) + vp[w]) ^ vp[w]) | x | vn[w];
+      std::uint64_t hp = vn[w] | ~(d0 | vp[w]);
+      std::uint64_t hn = vp[w] & d0;
+      if (w + 1 == words) {
+        distance += (hp & last) != 0;
+        distance -= (hn & last) != 0;
+      }
+      const std::uint64_t hp_out = hp >> (kWordBits - 1);
+      const std::uint64_t hn_out = hn >> (kWordBits - 1);
+      hp = (hp << 1) | hp_in;
+      hn = (hn << 1) | hn_in;
+      hp_in = hp_out;
+      hn_in = hn_out;
+      vp[w] = hn | ~(d0 | hp);
+      vn[w] = hp & d0;
     }
   }
-  return row[b.size()];
-}
 
-double levenshtein_normalized(std::string_view a, std::string_view b) {
-  const std::size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 0.0;
-  return static_cast<double>(levenshtein(a, b)) / static_cast<double>(longest);
-}
-
-std::size_t levenshtein_bounded(std::string_view a, std::string_view b,
-                                std::size_t bound) {
-  if (a.size() < b.size()) std::swap(a, b);
-  if (a.size() - b.size() > bound) return bound + 1;
-  if (b.empty()) return a.size();
-
-  constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max() / 2;
-  std::vector<std::size_t> row(b.size() + 1, kInf);
-  for (std::size_t j = 0; j <= std::min(b.size(), bound); ++j) row[j] = j;
-
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    // Cells outside the diagonal band [i-bound, i+bound] stay infinite.
-    const std::size_t lo = (i > bound) ? i - bound : 1;
-    const std::size_t hi = std::min(b.size(), i + bound);
-    std::size_t prev_diag = (lo == 1) ? row[0] : kInf;
-    if (lo == 1) row[0] = (i <= bound) ? i : kInf;
-    std::size_t band_min = kInf;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      const std::size_t prev_row = row[j];
-      const std::size_t subst = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      const std::size_t left = (j >= 1 && row[j - 1] < kInf) ? row[j - 1] + 1 : kInf;
-      const std::size_t up = (prev_row < kInf) ? prev_row + 1 : kInf;
-      row[j] = std::min({up, left, subst});
-      prev_diag = prev_row;
-      band_min = std::min(band_min, row[j]);
-    }
-    if (hi < b.size()) row[hi + 1] = kInf;  // seal the band edge
-    if (band_min > bound) return bound + 1;
-  }
-  return row[b.size()] <= bound ? row[b.size()] : bound + 1;
+  for (std::size_t i = 0; i < m; ++i) k.peq[byte(b[i]) * words + i / kWordBits] = 0;
+  return distance;
 }
 
 }  // namespace patchdb::util

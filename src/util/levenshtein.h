@@ -9,16 +9,10 @@
 
 namespace patchdb::util {
 
-/// Classic O(|a|*|b|) time, O(min) space edit distance with unit costs.
+/// Exact unit-cost edit distance over bytes. Myers' bit-vector algorithm
+/// in Hyyrö's multi-word form: the shorter string is the pattern, and
+/// each byte of the longer one advances ⌈m/64⌉ machine words. The
+/// pattern table is a per-thread buffer reused across calls.
 std::size_t levenshtein(std::string_view a, std::string_view b);
-
-/// Edit distance normalized to [0, 1]: distance / max(|a|, |b|).
-/// Two empty strings have distance 0.
-double levenshtein_normalized(std::string_view a, std::string_view b);
-
-/// Banded variant: returns the exact distance if it is <= `bound`,
-/// otherwise returns `bound + 1`. Runs in O(bound * min(|a|,|b|)).
-std::size_t levenshtein_bounded(std::string_view a, std::string_view b,
-                                std::size_t bound);
 
 }  // namespace patchdb::util

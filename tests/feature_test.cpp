@@ -2,12 +2,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "corpus/mutate.h"
 #include "corpus/repo.h"
+#include "corpus/world.h"
 #include "diff/parse.h"
 #include "feature/features.h"
+#include "lang/abstract.h"
+#include "lang/taxonomy.h"
+#include "levenshtein_oracle.h"
+#include "util/hash.h"
+#include "util/levenshtein.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -171,6 +180,154 @@ TEST(Features, ExtractAllMatchesSingleExtraction) {
   for (std::size_t i = 0; i < patches.size(); ++i) {
     const feature::FeatureVector v = feature::extract(patches[i]);
     EXPECT_TRUE(std::equal(matrix[i].begin(), matrix[i].end(), v.begin()));
+  }
+}
+
+// ------------------------------------------------------- lex once --
+
+// One file, one hunk per side text: hunk i removes `removed[i]` and adds
+// `added[i]`.
+diff::Patch two_sided_patch(const std::vector<std::string>& removed,
+                            const std::vector<std::string>& added) {
+  std::string text =
+      "commit 1234567890123456789012345678901234567890\n"
+      "\n"
+      "    lex-once fixture\n"
+      "\n"
+      "diff --git a/a.c b/a.c\n"
+      "--- a/a.c\n"
+      "+++ b/a.c\n";
+  for (std::size_t i = 0; i < removed.size(); ++i) {
+    const std::string line = std::to_string(10 * i + 1);
+    text += "@@ -" + line + ",1 +" + line + ",1 @@ int f" + std::to_string(i) + "(void)\n";
+    text += "-" + removed[i] + "\n";
+    text += "+" + added[i] + "\n";
+  }
+  return diff::parse_patch(text);
+}
+
+// Dims 10-45 and 47 as count_syntax reads each side joined, every
+// hunk's text followed by a newline.
+std::vector<double> joined_syntax_dims(const diff::Patch& patch) {
+  std::string removed;
+  std::string added;
+  for (const diff::FileDiff& fd : patch.files) {
+    for (const diff::Hunk& hunk : fd.hunks) {
+      removed += hunk.removed_text() + "\n";
+      added += hunk.added_text() + "\n";
+    }
+  }
+  const lang::SyntaxCounts a = lang::count_syntax(added);
+  const lang::SyntaxCounts r = lang::count_syntax(removed);
+  std::vector<double> dims;
+  auto quad = [&dims](std::size_t x, std::size_t y) {
+    const double ax = static_cast<double>(x);
+    const double ry = static_cast<double>(y);
+    dims.insert(dims.end(), {ax, ry, ax + ry, ax - ry});
+  };
+  quad(a.if_statements, r.if_statements);
+  quad(a.loops, r.loops);
+  quad(a.function_calls, r.function_calls);
+  quad(a.arithmetic_ops, r.arithmetic_ops);
+  quad(a.relational_ops, r.relational_ops);
+  quad(a.logical_ops, r.logical_ops);
+  quad(a.bitwise_ops, r.bitwise_ops);
+  quad(a.memory_ops, r.memory_ops);
+  quad(a.variables, r.variables);
+  dims.push_back(static_cast<double>(a.function_defs) -
+                 static_cast<double>(r.function_defs));
+  return dims;
+}
+
+std::vector<double> extracted_syntax_dims(const diff::Patch& patch) {
+  const feature::FeatureVector v = feature::extract(patch);
+  std::vector<double> dims(v.begin() + 10, v.begin() + 46);
+  dims.push_back(v[47]);
+  return dims;
+}
+
+// A hunk side that ends inside a token runs into the next hunk when the
+// side is lexed joined; the counts must follow the joined lex.
+TEST(Features, LexOnceFollowsJoinedLexAcrossOpenHunkEnds) {
+  const std::string next = "if (n > 0) { free(p); while (q) q = q->next; }";
+  for (const std::string& open_end :
+       {std::string("x = 1; /* unterminated"), std::string("#define X \\"),
+        std::string("s = \"abc\\"), std::string("c = 'a\\")}) {
+    SCOPED_TRACE(open_end);
+    const diff::Patch removed_open = two_sided_patch({open_end, next}, {"y = 2;", next});
+    const diff::Patch added_open = two_sided_patch({"y = 2;", next}, {open_end, next});
+    const diff::Patch both_open = two_sided_patch({open_end, next, open_end},
+                                                  {open_end, next, next});
+    for (const diff::Patch* patch : {&removed_open, &added_open, &both_open}) {
+      ASSERT_GE(patch->hunk_count(), 2u);
+      EXPECT_EQ(extracted_syntax_dims(*patch), joined_syntax_dims(*patch));
+    }
+  }
+  // The open end swallows the next hunk's `if`: the removed side counts
+  // none, the added side one.
+  const feature::FeatureVector v =
+      feature::extract(two_sided_patch({"x = 1; /* open", next}, {"y = 2;", next}));
+  EXPECT_DOUBLE_EQ(v[10], 1.0);
+  EXPECT_DOUBLE_EQ(v[11], 0.0);
+}
+
+// ---------------------------------------------------- world goldens --
+
+corpus::World small_world(std::uint64_t seed) {
+  corpus::WorldConfig config;
+  config.repos = 5;
+  config.nvd_security = 40;
+  config.wild_pool = 400;
+  config.seed = seed;
+  return corpus::build_world(config);
+}
+
+std::uint64_t feature_digest(std::uint64_t seed) {
+  const corpus::World world = small_world(seed);
+  std::uint64_t hash = util::fnv1a64("");
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    for (const corpus::CommitRecord& record : *records) {
+      for (const double value : feature::extract(record.patch)) {
+        char bytes[sizeof(double)];
+        std::memcpy(bytes, &value, sizeof(bytes));
+        hash = util::fnv1a64(std::string_view(bytes, sizeof(bytes)), hash);
+      }
+    }
+  }
+  return hash;
+}
+
+// Pins every bit of the Table I rows of a small world, so a faster
+// extraction path cannot move any feature.
+TEST(Features, GoldenDigest) {
+  EXPECT_EQ(feature_digest(42), 0x2675ca79fd255b02ULL);
+  EXPECT_EQ(feature_digest(7919), 0x0266ddf2d04f71d9ULL);
+}
+
+// The kernel against the DP on every hunk the features read, raw and
+// after token abstraction.
+TEST(Levenshtein, MatchesDpOracleOnWorldHunks) {
+  for (const std::uint64_t seed : {42u, 7919u}) {
+    const corpus::World world = small_world(seed);
+    std::size_t hunks = 0;
+    for (const auto* records : {&world.nvd_security, &world.wild}) {
+      for (const corpus::CommitRecord& record : *records) {
+        for (const diff::FileDiff& fd : record.patch.files) {
+          for (const diff::Hunk& hunk : fd.hunks) {
+            const std::string removed = hunk.removed_text();
+            const std::string added = hunk.added_text();
+            EXPECT_EQ(util::levenshtein(removed, added),
+                      testing_oracle::levenshtein_dp(removed, added));
+            const std::string removed_abs = lang::abstract_code(removed);
+            const std::string added_abs = lang::abstract_code(added);
+            EXPECT_EQ(util::levenshtein(removed_abs, added_abs),
+                      testing_oracle::levenshtein_dp(removed_abs, added_abs));
+            ++hunks;
+          }
+        }
+      }
+    }
+    EXPECT_GT(hunks, 400u) << "seed " << seed;
   }
 }
 

@@ -2,6 +2,7 @@
 // taxonomy counters, and the lightweight statement parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,37 @@ TEST(Lexer, KeywordsRecognized) {
   EXPECT_FALSE(lang::is_keyword("foobar"));
 }
 
+// Lexing newline-terminated pieces one at a time gives lex() of their
+// concatenation, line numbers included, when no piece ends open.
+TEST(Lexer, AppendPiecesEqualJoinedLex) {
+  const std::vector<std::string> pieces = {
+      "int x = a->b; // note\n", "\n", "#include <stdio.h>\n",
+      "s = \"unterminated\n", "if (x >= 0x1p-3) { y <<= 2; }\n",
+      "/* closed */ c = 'q';\n"};
+  std::vector<Token> appended;
+  std::string joined;
+  std::size_t line = 1;
+  for (const std::string& piece : pieces) {
+    EXPECT_TRUE(lang::lex_append(piece, appended, line)) << piece;
+    joined += piece;
+    line += static_cast<std::size_t>(std::count(piece.begin(), piece.end(), '\n'));
+  }
+  EXPECT_EQ(appended, lang::lex(joined));
+}
+
+// Pieces that end inside a token report it: the joined lex would carry
+// that token on into the next piece.
+TEST(Lexer, AppendReportsOpenEnds) {
+  for (const std::string piece :
+       {"x = 1; /* open\n", "#define X \\\n", "s = \"abc\\\n", "c = 'a\\\n", "tail"}) {
+    std::vector<Token> tokens;
+    EXPECT_FALSE(lang::lex_append(piece, tokens)) << piece;
+  }
+  std::vector<Token> tokens;
+  EXPECT_TRUE(lang::lex_append("", tokens));
+  EXPECT_TRUE(lang::lex_append("s = \"abc\"", tokens));
+}
+
 // ---------------------------------------------------------- abstract --
 
 TEST(Abstract, MapsIdentifiersAndLiterals) {
@@ -143,8 +175,9 @@ TEST(Abstract, CallDistinctionToggle) {
   lang::AbstractOptions no_calls;
   no_calls.distinguish_calls = false;
   const auto tokens = lang::lex("foo(bar);");
-  const auto plain = lang::abstract_tokens(tokens, no_calls);
-  EXPECT_EQ(plain[0], "ID");
+  std::string plain;
+  lang::abstract_tokens(tokens, plain, no_calls);
+  EXPECT_EQ(plain, "ID ( ID ) ;");
 }
 
 // ---------------------------------------------------------- taxonomy --

@@ -3,11 +3,13 @@
 // RunReport serialization, ObsSession nesting, and the zero-allocation
 // guarantee of the disabled (no sink installed) fast path.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "store/export.h"
+#include "store/fsck.h"
 #include "util/thread_pool.h"
 
 // ------------------------------------------------- allocation counter --
@@ -359,6 +363,28 @@ TEST(Report, PoolMetricsFlowThroughSession) {
 
 // ------------------------------------------------------ build spans --
 
+// The one span named `name` in `spans`, or null (with a test failure if
+// there are several).
+const obs::SpanRecord* only_span(const std::vector<obs::SpanRecord>& spans,
+                                 const std::string& name) {
+  const obs::SpanRecord* found = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != name) continue;
+    EXPECT_EQ(found, nullptr) << "more than one " << name;
+    found = &span;
+  }
+  return found;
+}
+
+std::vector<std::string> child_names(const std::vector<obs::SpanRecord>& spans,
+                                     const obs::SpanRecord& parent) {
+  std::vector<std::string> children;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent_id == parent.span_id) children.push_back(span.name);
+  }
+  return children;
+}
+
 // The world stage of a build is attributed in the build's own trace:
 // one build.world root whose children split fabrication, publication and
 // the crawl, then a separate root for releasing the world.
@@ -376,17 +402,8 @@ TEST(BuildTrace, WorldStagesAndReleaseAreSpans) {
     core::build_patchdb(options);
     spans = session.report().spans;
   }
-  auto only = [&spans](const std::string& name) {
-    const obs::SpanRecord* found = nullptr;
-    for (const obs::SpanRecord& span : spans) {
-      if (span.name != name) continue;
-      EXPECT_EQ(found, nullptr) << "more than one " << name;
-      found = &span;
-    }
-    return found;
-  };
-  const obs::SpanRecord* world = only("build.world");
-  const obs::SpanRecord* release = only("build.world_release");
+  const obs::SpanRecord* world = only_span(spans, "build.world");
+  const obs::SpanRecord* release = only_span(spans, "build.world_release");
   ASSERT_NE(world, nullptr);
   ASSERT_NE(release, nullptr);
   EXPECT_EQ(world->depth, 0u);
@@ -394,13 +411,54 @@ TEST(BuildTrace, WorldStagesAndReleaseAreSpans) {
   EXPECT_EQ(release->thread_index, world->thread_index);
   EXPECT_GE(release->start_us, world->start_us + world->wall_us);
 
-  std::vector<std::string> children;
-  for (const obs::SpanRecord& span : spans) {
-    if (span.parent_id == world->span_id) children.push_back(span.name);
-  }
   const std::vector<std::string> expected = {"world.nvd_fabricate", "world.wild_fabricate",
                                              "world.publish", "world.crawl"};
-  EXPECT_EQ(children, expected);
+  EXPECT_EQ(child_names(spans, *world), expected);
+}
+
+// Exporting, loading and checking a dataset are root spans of their
+// own; the export splits into one child per segment, then the two
+// sealed tables.
+TEST(BuildTrace, StoreExportLoadAndFsckAreSpans) {
+  core::BuildOptions options;
+  options.world.repos = 3;
+  options.world.nvd_security = 20;
+  options.world.wild_pool = 200;
+  options.augment.max_rounds = 1;
+  options.synthesis.max_per_patch = 1;
+  const core::PatchDb db = core::build_patchdb(options);
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("patchdb_obs_store_spans_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::vector<obs::SpanRecord> spans;
+  {
+    obs::ObsSession session("store_spans_test");
+    if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+    store::export_patchdb(db, root);
+    const store::LoadedPatchDb loaded = store::load_patchdb(root);
+    EXPECT_EQ(loaded.nvd_security.size(), db.nvd_security.size());
+    EXPECT_TRUE(store::fsck_dataset(root).ok());
+    spans = session.report().spans;
+  }
+  std::filesystem::remove_all(root);
+
+  const obs::SpanRecord* exported = only_span(spans, "store.export");
+  const obs::SpanRecord* load = only_span(spans, "store.load");
+  const obs::SpanRecord* fsck = only_span(spans, "store.fsck");
+  ASSERT_NE(exported, nullptr);
+  ASSERT_NE(load, nullptr);
+  ASSERT_NE(fsck, nullptr);
+  EXPECT_EQ(exported->depth, 0u);
+  EXPECT_EQ(load->depth, 0u);
+  EXPECT_EQ(fsck->depth, 0u);
+  EXPECT_GE(load->start_us, exported->start_us + exported->wall_us);
+  EXPECT_GE(fsck->start_us, load->start_us + load->wall_us);
+
+  const std::vector<std::string> expected = {"store.export.nvd", "store.export.wild",
+                                             "store.export.nonsecurity",
+                                             "store.export.synthetic", "store.export.tables"};
+  EXPECT_EQ(child_names(spans, *exported), expected);
 }
 
 // ------------------------------------------------- disabled fast path --

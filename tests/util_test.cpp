@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "levenshtein_oracle.h"
 #include "util/hash.h"
 #include "util/levenshtein.h"
 #include "util/log.h"
@@ -145,11 +146,6 @@ TEST(Levenshtein, KnownValues) {
   EXPECT_EQ(util::levenshtein("abc", "abc"), 0u);
 }
 
-struct LevCase {
-  std::string a;
-  std::string b;
-};
-
 class LevenshteinProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LevenshteinProperty, MetricAxiomsOnRandomStrings) {
@@ -180,27 +176,88 @@ TEST_P(LevenshteinProperty, MetricAxiomsOnRandomStrings) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, LevenshteinProperty,
                          ::testing::Range<std::uint64_t>(0, 50));
 
+// Random byte strings over `alphabet` (2..256) byte values: '\0' and
+// bytes >= 0x80 always among them, few values giving many matches and
+// long shared runs.
+std::string random_bytes(util::Rng& rng, std::size_t n, std::size_t alphabet) {
+  static constexpr char kSmall[] = {'\0', '\xff', 'a', '\x80'};
+  std::string s(n, '\0');
+  for (char& c : s) {
+    // Up to 4 values from kSmall; wider alphabets are the window of
+    // `alphabet` byte values centred on '\0' (wrapping to 0xff, 0xfe, ...).
+    c = alphabet <= 4 ? kSmall[rng.index(alphabet)]
+                      : static_cast<char>(256 - alphabet / 2 + rng.index(alphabet));
+  }
+  return s;
+}
+
+// `source` after `edits` random substitutions, insertions and deletions:
+// a near neighbour, so the distance is small and the strings share
+// prefixes and suffixes.
+std::string random_edit(util::Rng& rng, std::string source, std::size_t edits,
+                        std::size_t alphabet) {
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::string piece = random_bytes(rng, 1, alphabet);
+    const std::size_t op = rng.index(3);
+    if (source.empty() || op == 0) {
+      source.insert(rng.index(source.size() + 1), piece);
+    } else if (op == 1) {
+      source[rng.index(source.size())] = piece[0];
+    } else {
+      source.erase(rng.index(source.size()), 1);
+    }
+  }
+  return source;
+}
+
+void expect_matches_oracle(const std::string& a, const std::string& b) {
+  const std::size_t expected = testing_oracle::levenshtein_dp(a, b);
+  EXPECT_EQ(util::levenshtein(a, b), expected) << "|a|=" << a.size() << " |b|=" << b.size();
+  EXPECT_EQ(util::levenshtein(b, a), expected) << "|a|=" << a.size() << " |b|=" << b.size();
+}
+
+// Every pair of lengths around the kernel's word boundaries (63/64/65,
+// 127/128/129, 192), one side empty, in both argument orders, over both
+// alphabets, for independent strings and near neighbours.
+TEST(Levenshtein, MatchesDpOracle) {
+  util::Rng rng(2024);
+  const std::size_t lengths[] = {0,   1,   2,   31,  63,  64,  65,  127,
+                                 128, 129, 191, 192, 193, 256, 300};
+  for (const std::size_t alphabet : {std::size_t{4}, std::size_t{256}}) {
+    for (const std::size_t la : lengths) {
+      for (const std::size_t lb : lengths) {
+        expect_matches_oracle(random_bytes(rng, la, alphabet),
+                              random_bytes(rng, lb, alphabet));
+      }
+      const std::string a = random_bytes(rng, la, alphabet);
+      for (const std::size_t edits : {1, 3, 17, 70}) {
+        expect_matches_oracle(a, random_edit(rng, a, edits, alphabet));
+      }
+    }
+  }
+}
+
+// Random pairs and near neighbours: the kernel agrees with the DP oracle
+// and stays within the bounds every pair has by construction, i.e.
+// ||a|-|b|| <= d <= max(|a|, |b|), and d <= k for b made by k edits of a.
 class LevenshteinBounded : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LevenshteinBounded, AgreesWithExactWithinBound) {
   util::Rng rng(GetParam() * 977 + 5);
-  auto random_string = [&rng] {
-    std::string s;
-    const std::size_t n = rng.index(30);
-    for (std::size_t i = 0; i < n; ++i) {
-      s += static_cast<char>('a' + rng.index(5));
-    }
-    return s;
-  };
-  const std::string a = random_string();
-  const std::string b = random_string();
-  const std::size_t exact = util::levenshtein(a, b);
-  for (std::size_t bound : {0u, 1u, 3u, 8u, 40u}) {
-    const std::size_t got = util::levenshtein_bounded(a, b, bound);
-    if (exact <= bound) {
-      EXPECT_EQ(got, exact) << "a=" << a << " b=" << b << " bound=" << bound;
-    } else {
-      EXPECT_GT(got, bound);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t alphabet = std::size_t{1} << (1 + rng.index(8));  // 2 .. 256
+    const std::string a = random_bytes(rng, rng.index(301), alphabet);
+    const bool neighbour = rng.index(2) != 0;
+    const std::size_t edits = neighbour ? rng.index(40) : 0;
+    const std::string b = neighbour ? random_edit(rng, a, edits, alphabet)
+                                    : random_bytes(rng, rng.index(301), alphabet);
+    expect_matches_oracle(a, b);
+    const std::size_t d = util::levenshtein(a, b);
+    const std::size_t len_gap = a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+    EXPECT_GE(d, len_gap) << "|a|=" << a.size() << " |b|=" << b.size();
+    EXPECT_LE(d, std::max(a.size(), b.size())) << "|a|=" << a.size() << " |b|=" << b.size();
+    if (neighbour) {
+      EXPECT_LE(d, edits) << "|a|=" << a.size() << " edits=" << edits;
     }
   }
 }
@@ -208,10 +265,27 @@ TEST_P(LevenshteinBounded, AgreesWithExactWithinBound) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, LevenshteinBounded,
                          ::testing::Range<std::uint64_t>(0, 40));
 
-TEST(Levenshtein, NormalizedRange) {
-  EXPECT_DOUBLE_EQ(util::levenshtein_normalized("", ""), 0.0);
-  EXPECT_DOUBLE_EQ(util::levenshtein_normalized("ab", ""), 1.0);
-  EXPECT_NEAR(util::levenshtein_normalized("kitten", "sitting"), 3.0 / 7.0, 1e-12);
+// Pool threads each keep their own pattern table; concurrent calls of
+// different pattern lengths must not see one another's bits.
+TEST(Levenshtein, ConcurrentCallsMatchOracle) {
+  util::Rng rng(77);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::string a = random_bytes(rng, rng.index(200), 4);
+    pairs.emplace_back(a, random_edit(rng, a, rng.index(30), 4));
+  }
+  std::vector<std::size_t> expected;
+  for (const auto& [a, b] : pairs) expected.push_back(testing_oracle::levenshtein_dp(a, b));
+  util::ThreadPool pool(4);
+  std::vector<std::size_t> got(pairs.size());
+  for (int rep = 0; rep < 4; ++rep) {
+    pool.parallel_for(pairs.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        got[i] = util::levenshtein(pairs[i].first, pairs[i].second);
+      }
+    });
+    EXPECT_EQ(got, expected);
+  }
 }
 
 // -------------------------------------------------------------- stats --
